@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .data import BrandMapping
+from .data import BrandMapping, check_finite
 from .model import EmbeddingSpace
 
 ORTHO_TOL = 1e-8
@@ -100,8 +100,10 @@ def read_projection(path) -> ProjectionMatrix:
         if len(header) != 3:
             raise ValueError(f"{path}: bad header")
         d_s, d_t, kind = int(header[0]), int(header[1]), header[2]
-        rows = [np.array([float(x) for x in line.split()]) for line in fh if line.strip()]
-    w = np.stack(rows)
+        numbered = [(lineno, line) for lineno, line in enumerate(fh, start=2)
+                    if line.strip()]
+    w = np.stack([np.array([float(x) for x in line.split()]) for _, line in numbered])
     if w.shape != (d_s, d_t):
         raise ValueError(f"{path}: expected {d_s}x{d_t} matrix, got {w.shape}")
+    check_finite(w, path, [lineno for lineno, _ in numbered])
     return ProjectionMatrix(w=w, kind=kind, fit_residual=float("nan"))

@@ -21,6 +21,14 @@ class DataError(ValueError):
     """Malformed or inconsistent input data."""
 
 
+def check_finite(matrix: np.ndarray, path, linenos: list[int]):
+    """Reject nan/inf in a matrix read from path; linenos[i] is row i's line."""
+    finite = np.isfinite(matrix).all(axis=1)
+    if not finite.all():
+        raise DataError(f"{path}:{linenos[int(np.argmin(finite))]}: "
+                        f"non-finite coordinate")
+
+
 @dataclass(frozen=True)
 class HotelRecord:
     hotel_id: str

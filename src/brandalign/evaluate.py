@@ -128,6 +128,7 @@ def _event_ranks(events, catalog: HotelCatalog, get, dim: int, mode: str,
     Returns (ranks, skipped_count, missing_candidate_count). Ranks computed
     here agree with rank_candidates: descending score, ties by ascending id,
     candidates without an embedding after all scored ones (by ascending id).
+    A truth outside the pool (a click into another market) misses: rank inf.
     """
     caches: dict[str, _MarketCache] = {}
     ranks = []
@@ -146,10 +147,13 @@ def _event_ranks(events, catalog: HotelCatalog, get, dim: int, mode: str,
                 continue
             raise ValueError(f"query hotel {ev.query!r} missing from space")
         q_pos = cache.pos[ev.query]
-        t_pos = cache.pos[ev.truth]
+        missing_total += int(np.sum(~cache.present))
+        t_pos = cache.pos.get(ev.truth)
+        if t_pos is None:
+            ranks.append(math.inf)
+            continue
         active = cache.present.copy()  # query is always present here
         active[q_pos] = False
-        missing_total += int(np.sum(~cache.present))
         scores = _score_block(cache.matrix, cache.norms, cache.present, v_q, mode)
         if cache.present[t_pos]:
             s_t = scores[t_pos]
@@ -181,6 +185,9 @@ def mrr_at_k(ranks, k: int) -> float:
 
 
 def _build_report(ranks, ks, mode, setting, metadata) -> MetricsReport:
+    outside = ranks.count(math.inf)
+    if outside:  # only then, so reports of well-formed sessions keep their bytes
+        metadata["truth_outside_pool"] = outside
     report = MetricsReport(metadata=metadata)
     for k in ks:
         report.rows[(k, mode, setting)] = {

@@ -10,12 +10,12 @@ hotel's embedding to its source counterpart.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import expit as _expit
 
-from .data import BrandMapping, HotelCatalog, SessionSet
+from .data import BrandMapping, HotelCatalog, SessionSet, check_finite
 from .pairs import TrainingPair, build_epoch_stream
 
 EPS_NORM = 1e-12
@@ -101,48 +101,23 @@ def feature_embed(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     """relu(x W / ||x W||); the zero vector when ||x W|| is (near) zero."""
     if len(x) != w.shape[0]:
         raise ValueError(f"dimension mismatch: {len(x)} vs {w.shape[0]}")
-    y = x @ w
+    return _norm_relu(x @ w)
+
+
+def _norm_relu(y: np.ndarray) -> np.ndarray:
     norm = np.linalg.norm(y)
     if norm < EPS_NORM:
         return np.zeros_like(y)
     return np.maximum(y / norm, 0.0)
 
 
-def _norm_relu(y: np.ndarray):
-    """Forward of normalize-then-relu with the cache backprop needs."""
-    norm = np.linalg.norm(y)
-    if norm < EPS_NORM:
-        return np.zeros_like(y), None, 0.0
-    yhat = y / norm
-    return np.maximum(yhat, 0.0), yhat, norm
-
-
-def _norm_relu_back(du: np.ndarray, yhat, norm: float) -> np.ndarray:
-    """Backprop through relu(y/||y||): normalize Jacobian (I - yy^T)/||y||
-    composed with the relu mask."""
-    if yhat is None:
-        return np.zeros_like(du)
-    masked = np.where(yhat > 0, du, 0.0)
-    return (masked - yhat * (yhat @ masked)) / norm
-
-
-class _Forward:
-    """Cache of one hotel's forward pass."""
-    __slots__ = ("idx", "u", "yhat_c", "n_c", "yhat_a", "n_a", "yhat_g", "n_g",
-                 "z", "v")
-
-
 def _forward_hotel(idx: int, params: ModelParams, amenities: np.ndarray,
-                   geo: np.ndarray) -> _Forward:
-    f = _Forward()
-    f.idx = idx
-    u_c, f.yhat_c, f.n_c = _norm_relu(params.w_c[idx])
-    u_a, f.yhat_a, f.n_a = _norm_relu(amenities[idx] @ params.w_a)
-    u_g, f.yhat_g, f.n_g = _norm_relu(geo[idx] @ params.w_g)
-    f.u = np.concatenate([u_c, u_a, u_g])
-    f.z = f.u @ params.w_e
-    f.v = np.maximum(f.z, 0.0)
-    return f
+                   geo: np.ndarray) -> np.ndarray:
+    """Enriched embedding of the hotel at catalog index idx."""
+    u = np.concatenate([_norm_relu(params.w_c[idx]),
+                        _norm_relu(amenities[idx] @ params.w_a),
+                        _norm_relu(geo[idx] @ params.w_g)])
+    return np.maximum(u @ params.w_e, 0.0)
 
 
 def enriched_embedding(hotel_id: str, params: ModelParams,
@@ -152,7 +127,7 @@ def enriched_embedding(hotel_id: str, params: ModelParams,
     if idx is None:
         raise ValueError(f"unknown hotel {hotel_id!r}")
     return _forward_hotel(idx, params, _amenity_cache(catalog),
-                          _geo_cache(catalog)).v
+                          _geo_cache(catalog))
 
 
 def _amenity_cache(catalog: HotelCatalog) -> np.ndarray:
@@ -213,105 +188,132 @@ def _resolve_source_vector(target_id: str, source_space: EmbeddingSpace | None,
     return source_space.vectors[src_id]
 
 
-def _norm_relu_rows(y: np.ndarray):
-    """Row-wise normalize-then-relu with backprop caches."""
-    norms = np.sqrt(np.einsum("ij,ij->i", y, y))
-    safe = norms >= EPS_NORM
-    inv = np.where(safe, 1.0 / np.where(safe, norms, 1.0), 0.0)
-    yhat = y * inv[:, None]
-    return np.maximum(yhat, 0.0), yhat, inv
+class StepContext:
+    """What the per-pair step reads besides the hotels: the parameters, the
+    feature matrices, the config and the frozen source space.
 
-
-def _norm_relu_back_rows(du: np.ndarray, yhat: np.ndarray,
-                         inv: np.ndarray) -> np.ndarray:
-    masked = np.where(yhat > 0, du, 0.0)
-    proj = np.einsum("ij,ij->i", yhat, masked)
-    return (masked - yhat * proj[:, None]) * inv[:, None]
-
-
-def gradients(pair: TrainingPair, params: ModelParams, catalog: HotelCatalog,
-              cfg: TrainConfig, source_space: EmbeddingSpace | None = None,
-              mapping: BrandMapping | None = None) -> tuple[Gradients, float]:
-    """Exact analytic gradient of the per-pair loss (SGNS + regularizer +
-    weight decay on touched parameters), plus the loss value.
-
-    The forward/backward pass is batched over the pair's unique hotels;
-    the math is identical to stacking _forward_hotel per hotel.
+    W_a, W_g and W_e of params are re-seated as views of one flat buffer,
+    self.flat, so that weight decay, the L2 term and the dense update are
+    one op each.
     """
-    amenities = _amenity_cache(catalog)
-    geo = _geo_cache(catalog)
 
-    uniq: list[str] = []
-    pos_of: dict[str, int] = {}
-    for hid in (pair.target, pair.context, *pair.negatives):
-        if hid not in pos_of:
-            pos_of[hid] = len(uniq)
-            uniq.append(hid)
-    idxs = np.array([catalog.index[h] for h in uniq])
+    def __init__(self, params: ModelParams, catalog: HotelCatalog,
+                 cfg: TrainConfig, source_space=None, mapping=None):
+        self.params, self.cfg, self.ids = params, cfg, catalog.hotel_ids
+        self.source_space, self.mapping = source_space, mapping
+        dense = (params.w_a, params.w_g, params.w_e)
+        self.shapes = [w.shape for w in dense]
+        self.cuts = np.cumsum([w.size for w in dense])[:-1]
+        self.flat = np.concatenate([w.ravel() for w in dense])
+        params.w_a, params.w_g, params.w_e = self.views(self.flat)
+        self.grad = np.empty_like(self.flat)  # overwritten by every step
+        self.grad_views = self.views(self.grad)
+        self.amenities, self.geo = _amenity_cache(catalog), _geo_cache(catalog)
+        widths = [cfg.d_c, cfg.d_a, cfg.d_g]
+        cuts = np.cumsum([0] + widths).tolist()
+        self.blocks = [slice(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
+        self.col_block = np.repeat([0, 1, 2], widths)
 
-    y_c = params.w_c[idxs]
-    u_c, yhat_c, inv_c = _norm_relu_rows(y_c)
-    a_in = amenities[idxs]
-    u_a, yhat_a, inv_a = _norm_relu_rows(a_in @ params.w_a)
-    g_in = geo[idxs]
-    u_g, yhat_g, inv_g = _norm_relu_rows(g_in @ params.w_g)
-    u = np.concatenate([u_c, u_a, u_g], axis=1)
-    z = u @ params.w_e
+    def views(self, flat: np.ndarray) -> list[np.ndarray]:
+        """W_a, W_g and W_e shaped views of a flat buffer."""
+        return [a.reshape(s) for a, s in zip(np.split(flat, self.cuts), self.shapes)]
+
+
+def gradients(ctx: StepContext, hotels: tuple[int, ...]):
+    """Loss and exact gradient of one pair over catalog indices: SGNS, the
+    regularizer on the target, and weight decay on touched parameters.
+
+    hotels are the catalog indices of (target, context, *negatives). Returns
+    (loss, idx, dy_c, grad): the distinct hotels, the gradient of their W_c
+    rows, and the gradient of ctx.flat. ndarray.take indexes the small
+    arrays: numpy's Python-level wrappers cost more than the work.
+    """
+    p, cfg, (bc, ba, bg) = ctx.params, ctx.cfg, ctx.blocks
+    rows, pos = [], []  # distinct hotels, and where each input sits
+    for h in hotels:
+        if h not in rows:
+            rows.append(h)
+        pos.append(rows.index(h))
+    k = len(rows)
+    idx = np.array(rows)
+    a_in, g_in = ctx.amenities.take(idx, axis=0), ctx.geo.take(idx, axis=0)
+    y = np.empty((k, len(ctx.col_block)))
+    y[:, bc] = p.w_c.take(idx, axis=0)
+    np.matmul(a_in, p.w_a, out=y[:, ba])
+    np.matmul(g_in, p.w_g, out=y[:, bg])
+    sq = np.empty((k, 3))
+    for b, blk in enumerate(ctx.blocks):
+        np.einsum("ij,ij->i", y[:, blk], y[:, blk], out=sq[:, b])
+    norms = np.sqrt(sq)
+    inv = np.divide(1.0, norms, out=np.zeros((k, 3)),
+                    where=norms >= EPS_NORM).take(ctx.col_block, axis=1)
+    yhat = y * inv
+    u = np.maximum(yhat, 0.0)
+    z = u @ p.w_e
     v = np.maximum(z, 0.0)
 
-    t = pos_of[pair.target]
-    c = pos_of[pair.context]
+    t, c, neg = pos[0], pos[1], pos[2:]
     v_t = v[t]
     s_pos = float(v_t @ v[c])
     loss = _softplus(-s_pos)
     g_pos = -_sigmoid(-s_pos)
-
-    dv = np.zeros_like(v)
-    dv[t] += g_pos * v[c]
+    dv = np.zeros(v.shape)
+    dv_t = dv[t]
+    dv_t += g_pos * v[c]
     dv[c] += g_pos * v_t
-    neg_pos = np.array([pos_of[n] for n in pair.negatives])
-    s_neg = v[neg_pos] @ v_t
-    loss += float(np.sum(np.logaddexp(0.0, s_neg)))
+    v_neg = v[neg]
+    s_neg = v_neg @ v_t
+    loss += float(np.add.reduce(np.logaddexp(0.0, s_neg)))
     g_neg = _expit(s_neg)
-    dv[t] += g_neg @ v[neg_pos]
-    np.add.at(dv, neg_pos, g_neg[:, None] * v_t[None, :])
+    dv_t += g_neg @ v_neg
+    np.add.at(dv, neg, g_neg[:, None] * v_t)
 
-    if cfg.lam > 0:
-        v_src = _resolve_source_vector(pair.target, source_space, mapping)
-        if v_src is not None:
-            diff = v_t - v_src
-            norm = float(np.linalg.norm(diff))
-            if cfg.reg_variant == "norm":
-                loss += cfg.lam * norm
-                if norm >= EPS_NORM:
-                    dv[t] += cfg.lam / norm * diff
-            else:
-                loss += cfg.lam * norm * norm
-                dv[t] += 2.0 * cfg.lam * diff
+    if cfg.lam > 0 and (v_src := _resolve_source_vector(
+            ctx.ids[hotels[0]], ctx.source_space, ctx.mapping)) is not None:
+        diff = v_t - v_src
+        norm = float(np.linalg.norm(diff))
+        if cfg.reg_variant == "norm":
+            loss += cfg.lam * norm
+            if norm >= EPS_NORM:
+                dv_t += cfg.lam / norm * diff
+        else:
+            loss += cfg.lam * norm * norm
+            dv_t += 2.0 * cfg.lam * diff
 
     dz = np.where(z > 0, dv, 0.0)
-    dw_e = u.T @ dz
-    du = dz @ params.w_e.T
-    d_c, d_a = cfg.d_c, cfg.d_a
-    dy_c = _norm_relu_back_rows(du[:, :d_c], yhat_c, inv_c)
-    dy_a = _norm_relu_back_rows(du[:, d_c:d_c + d_a], yhat_a, inv_a)
-    dy_g = _norm_relu_back_rows(du[:, d_c + d_a:], yhat_g, inv_g)
-    dw_a = a_in.T @ dy_a
-    dw_g = g_in.T @ dy_g
+    grad, (dw_a, dw_g, dw_e) = ctx.grad, ctx.grad_views
+    np.matmul(u.T, dz, out=dw_e)
+    masked = np.where(yhat > 0, dz @ p.w_e.T, 0.0)
+    proj = np.empty((k, 3))
+    for b, blk in enumerate(ctx.blocks):
+        np.einsum("ij,ij->i", yhat[:, blk], masked[:, blk], out=proj[:, b])
+    dy = (masked - yhat * proj.take(ctx.col_block, axis=1)) * inv
+    np.matmul(a_in.T, dy[:, ba], out=dw_a)
+    np.matmul(g_in.T, dy[:, bg], out=dw_g)
+    dy_c = dy[:, bc]
 
     mu = cfg.l2_weight
     if mu > 0:
-        loss += 0.5 * mu * (float(np.einsum("ij,ij->", y_c, y_c))
-                            + float(np.einsum("ij,ij->", params.w_a, params.w_a))
-                            + float(np.einsum("ij,ij->", params.w_g, params.w_g))
-                            + float(np.einsum("ij,ij->", params.w_e, params.w_e)))
-        dy_c = dy_c + mu * y_c
-        dw_a += mu * params.w_a
-        dw_g += mu * params.w_g
-        dw_e += mu * params.w_e
+        # sq[:, 0] already holds the squared norms of the W_c rows
+        loss += 0.5 * mu * (float(np.add.reduce(sq[:, 0]))
+                            + float(ctx.flat @ ctx.flat))
+        dy_c += mu * y[:, bc]
+        grad += mu * ctx.flat
+    return loss, idx, dy_c, grad
 
-    w_c_rows = {int(idxs[i]): dy_c[i] for i in range(len(uniq))}
-    return Gradients(w_c_rows=w_c_rows, w_a=dw_a, w_g=dw_g, w_e=dw_e), loss
+
+def pair_gradients(pair: TrainingPair, params: ModelParams,
+                   catalog: HotelCatalog, cfg: TrainConfig,
+                   source_space: EmbeddingSpace | None = None,
+                   mapping: BrandMapping | None = None) -> tuple[Gradients, float]:
+    """gradients of a pair of hotel ids, unpacked per matrix, plus the loss:
+    the training step's own math."""
+    ctx = StepContext(replace(params), catalog, cfg, source_space, mapping)
+    loss, idx, dy_c, _ = gradients(ctx, tuple(
+        catalog.index[h] for h in (pair.target, pair.context, *pair.negatives)))
+    dw_a, dw_g, dw_e = ctx.grad_views
+    return Gradients(w_c_rows=dict(zip(idx.tolist(), dy_c)), w_a=dw_a,
+                     w_g=dw_g, w_e=dw_e), loss
 
 
 def init_params(catalog: HotelCatalog, cfg: TrainConfig,
@@ -338,15 +340,12 @@ def init_params(catalog: HotelCatalog, cfg: TrainConfig,
 
 
 class _AdamState:
-    def __init__(self, params: ModelParams, cfg: TrainConfig):
-        self.m = {n: np.zeros_like(getattr(params, n))
-                  for n in ("w_c", "w_a", "w_g", "w_e")}
-        self.v = {n: np.zeros_like(getattr(params, n))
-                  for n in ("w_c", "w_a", "w_g", "w_e")}
-        self.t = 0
-        self.cfg = cfg
+    def __init__(self, w_c: np.ndarray, flat: np.ndarray, cfg: TrainConfig):
+        self.m_c, self.v_c = np.zeros_like(w_c), np.zeros_like(w_c)
+        self.m, self.v = np.zeros_like(flat), np.zeros_like(flat)
+        self.t, self.cfg = 0, cfg
 
-    def update(self, params: ModelParams, grads: Gradients):
+    def update(self, w_c, flat, idx, dy_c, grad):
         # lazy variant: W_c moments advance only on touched rows, with the
         # global step used for bias correction
         cfg = self.cfg
@@ -354,41 +353,32 @@ class _AdamState:
         b1, b2, eps, lr = cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps, cfg.learning_rate
         c1 = 1.0 - b1 ** self.t
         c2 = 1.0 - b2 ** self.t
-        for name in ("w_a", "w_g", "w_e"):
-            g = getattr(grads, name)
-            m, v = self.m[name], self.v[name]
+
+        def adam(w, m, v, g):
             m *= b1
             m += (1 - b1) * g
             v *= b2
             v += (1 - b2) * g * g
-            getattr(params, name)[...] -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
-        for idx, g in grads.w_c_rows.items():
-            m, v = self.m["w_c"][idx], self.v["w_c"][idx]
-            m *= b1
-            m += (1 - b1) * g
-            v *= b2
-            v += (1 - b2) * g * g
-            params.w_c[idx] -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+            w -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
 
-
-def _sgd_update(params: ModelParams, grads: Gradients, lr: float):
-    for idx, g in grads.w_c_rows.items():
-        params.w_c[idx] -= lr * g
-    params.w_a -= lr * grads.w_a
-    params.w_g -= lr * grads.w_g
-    params.w_e -= lr * grads.w_e
+        adam(flat, self.m, self.v, grad)
+        w, m, v = w_c[idx], self.m_c[idx], self.v_c[idx]
+        adam(w, m, v, dy_c)
+        w_c[idx], self.m_c[idx], self.v_c[idx] = w, m, v
 
 
 def train(train_sessions: SessionSet, catalog: HotelCatalog, cfg: TrainConfig,
           source_space: EmbeddingSpace | None = None,
           mapping: BrandMapping | None = None,
           curve_sink=None, epoch_loss_sink=None) -> ModelParams:
-    """Deterministic single-worker training loop.
+    """Deterministic single-worker training loop: exact per-pair SGD (or
+    Adam) over catalog indices.
 
     curve_sink, when given, is called as curve_sink(step, space) every
     cfg.eval_every pair updates with a freshly exported embedding space.
     epoch_loss_sink is called as epoch_loss_sink(epoch, mean_pair_loss)
-    at the end of every epoch.
+    at the end of every epoch. Raises ValueError when the sessions yield no
+    pair to train on.
     """
     cfg.validate()
     if cfg.lam > 0 and source_space is None:
@@ -397,7 +387,9 @@ def train(train_sessions: SessionSet, catalog: HotelCatalog, cfg: TrainConfig,
     from .rng import substream
     params = init_params(catalog, cfg,
                          lambda label: substream(cfg.seed, "init", label))
-    adam = _AdamState(params, cfg) if cfg.optimizer == "adam" else None
+    ctx = StepContext(params, catalog, cfg, source_space, mapping)
+    flat = ctx.flat
+    adam = _AdamState(params.w_c, flat, cfg) if cfg.optimizer == "adam" else None
 
     step = 0
     for epoch in range(cfg.epochs):
@@ -406,15 +398,18 @@ def train(train_sessions: SessionSet, catalog: HotelCatalog, cfg: TrainConfig,
         n_pairs = 0
         stream = build_epoch_stream(train_sessions, catalog, cfg.window,
                                     cfg.n_neg, cfg.seed, epoch, skip_counter)
-        for pair in stream:
-            grads, loss = gradients(pair, params, catalog, cfg,
-                                    source_space, mapping)
-            if not np.isfinite(loss):
-                raise TrainingDiverged(step, pair, loss)
+        for hotels in stream:
+            loss, idx, dy_c, grad = gradients(ctx, hotels)
+            if not math.isfinite(loss):
+                ids = catalog.hotel_ids
+                raise TrainingDiverged(step, TrainingPair(
+                    ids[hotels[0]], ids[hotels[1]],
+                    tuple(ids[n] for n in hotels[2:])), loss)
             if adam is not None:
-                adam.update(params, grads)
+                adam.update(params.w_c, flat, idx, dy_c, grad)
             else:
-                _sgd_update(params, grads, cfg.learning_rate)
+                params.w_c[idx] -= cfg.learning_rate * dy_c
+                flat -= cfg.learning_rate * grad
             loss_sum += loss
             n_pairs += 1
             step += 1
@@ -422,6 +417,11 @@ def train(train_sessions: SessionSet, catalog: HotelCatalog, cfg: TrainConfig,
                 curve_sink(step, export_embeddings(params, catalog))
         if epoch_loss_sink is not None and n_pairs:
             epoch_loss_sink(epoch, loss_sum / n_pairs)
+    if step == 0:
+        raise ValueError(
+            f"nothing to train on: {len(train_sessions)} training sessions give "
+            f"no pair with an eligible negative ({skip_counter[0]} pairs "
+            f"skipped per epoch)")
     return params
 
 
@@ -430,7 +430,7 @@ def export_embeddings(params: ModelParams, catalog: HotelCatalog,
     """Materialize the enriched embedding of every catalog hotel."""
     amenities = _amenity_cache(catalog)
     geo = _geo_cache(catalog)
-    vectors = {hid: _forward_hotel(idx, params, amenities, geo).v
+    vectors = {hid: _forward_hotel(idx, params, amenities, geo)
                for hid, idx in catalog.index.items()}
     return EmbeddingSpace(dim=params.w_e.shape[1], brand=brand, vectors=vectors)
 
@@ -452,15 +452,20 @@ def read_embeddings(path, brand: str = "unknown") -> EmbeddingSpace:
         if len(header) != 2:
             raise ValueError(f"{path}: bad header")
         count, dim = int(header[0]), int(header[1])
-        vectors = {}
-        for line in fh:
+        ids, coords, linenos = [], [], []
+        for lineno, line in enumerate(fh, start=2):
             parts = line.split()
             if not parts:
                 continue
             if len(parts) != dim + 1:
                 raise ValueError(f"{path}: expected {dim} coordinates for "
                                  f"{parts[0]!r}, got {len(parts) - 1}")
-            vectors[parts[0]] = np.array([float(x) for x in parts[1:]])
+            ids.append(parts[0])
+            coords.append([float(x) for x in parts[1:]])
+            linenos.append(lineno)
+    matrix = np.array(coords, dtype=float).reshape(len(ids), dim)
+    check_finite(matrix, path, linenos)
+    vectors = dict(zip(ids, matrix))
     if len(vectors) != count:
         raise ValueError(f"{path}: header count {count} != {len(vectors)} rows")
     return EmbeddingSpace(dim=dim, brand=brand, vectors=vectors)

@@ -38,46 +38,45 @@ def make_pairs(session: ClickSession, window: int) -> list[tuple[str, str]]:
     return out
 
 
-def sample_negatives(catalog: HotelCatalog, target: str, context: str,
-                     n_neg: int, rng: np.random.Generator) -> list[str]:
-    """Draw n_neg hotels uniformly with replacement from the target's market,
-    excluding the target and context themselves.
+def sample_negatives(pool, target, context, n_neg: int,
+                     rng: np.random.Generator) -> list:
+    """Draw n_neg members of pool (the target's market: hotel ids or catalog
+    indices alike) uniformly with replacement, excluding the target and
+    context themselves.
 
     Raises PairSkipped when the eligible set is empty; the caller drops the pair.
     """
-    market = catalog.market_of(target)
-    members = catalog.market_list(market)
-    excluded = {target, context}
-    n_eligible = len(members) - sum(1 for e in excluded if e in catalog.market_members(market))
-    if n_eligible <= 0:
-        raise PairSkipped(f"market {market!r} has no eligible negatives")
+    if len(pool) - 1 - (context != target and context in pool) <= 0:
+        raise PairSkipped("the target's market has no eligible negatives")
     # rejection sampling stays uniform over the eligible set
     out = []
     while len(out) < n_neg:
-        for i in rng.integers(0, len(members), size=n_neg - len(out)):
-            candidate = members[i]
-            if candidate not in excluded:
-                out.append(candidate)
+        for i in rng.integers(0, len(pool), size=n_neg - len(out)).tolist():
+            if pool[i] != target and pool[i] != context:
+                out.append(pool[i])
     return out
 
 
 def build_epoch_stream(sessions: SessionSet, catalog: HotelCatalog,
                        window: int, n_neg: int, seed: int, epoch_index: int,
                        skip_counter: list | None = None):
-    """Yield TrainingPairs for one epoch.
+    """Yield (target, context, *negatives) as catalog indices for one epoch.
 
     Sessions are shuffled deterministically by (seed, epoch_index); pairs that
     cannot receive negatives are skipped and counted into skip_counter[0].
     """
+    index = catalog.index
+    pools = {m: [index[h] for h in catalog.market_list(m)] for m in catalog.markets}
     order = substream(seed, "shuffle", epoch_index).permutation(len(sessions))
     neg_rng = substream(seed, "negatives", epoch_index)
     for si in order:
-        session = sessions.sessions[si]
-        for target, context in make_pairs(session, window):
+        for target, context in make_pairs(sessions.sessions[si], window):
+            t, c = index[target], index[context]
             try:
-                negs = sample_negatives(catalog, target, context, n_neg, neg_rng)
+                negs = sample_negatives(pools[catalog.market_of(target)], t, c,
+                                        n_neg, neg_rng)
             except PairSkipped:
                 if skip_counter is not None:
                     skip_counter[0] += 1
                 continue
-            yield TrainingPair(target, context, tuple(negs))
+            yield (t, c, *negs)

@@ -2,15 +2,21 @@
 
 Everything here is written straight-line from the definitions, on purpose
 duplicating none of the library's code paths: a second forward pass for the
-enriched embedding, a finite-difference gradient checker, and a brute-force
-ranking-metric calculator.
+enriched embedding, a finite-difference gradient checker, a brute-force
+ranking-metric calculator, and the string-keyed per-pair training loop the
+integer-indexed trainer must reproduce bit for bit.
 """
 
+import math
+
 import numpy as np
+from scipy.special import expit as _expit
 
 from brandalign.data import HotelCatalog
-from brandalign.model import EmbeddingSpace, ModelParams, TrainConfig
-from brandalign.pairs import TrainingPair
+from brandalign.model import (EmbeddingSpace, ModelParams, TrainConfig,
+                              TrainingDiverged, init_params)
+from brandalign.pairs import PairSkipped, TrainingPair
+from brandalign.rng import substream
 
 
 def straight_line_embedding(hotel_id: str, params: ModelParams,
@@ -68,9 +74,9 @@ def finite_difference_max_rel_err(pair, params, catalog, cfg,
     Returns the max relative error over coordinates where the combined
     magnitude exceeds 1e-8, per the gradient-correctness contract.
     """
-    from brandalign.model import gradients
+    from brandalign.model import pair_gradients
 
-    grads, loss = gradients(pair, params, catalog, cfg, source_space, mapping)
+    grads, loss = pair_gradients(pair, params, catalog, cfg, source_space, mapping)
     analytic = {("w_a",): grads.w_a, ("w_g",): grads.w_g, ("w_e",): grads.w_e}
     dense_wc = np.zeros_like(params.w_c)
     for idx, row in grads.w_c_rows.items():
@@ -130,3 +136,245 @@ def brute_force_metrics(events, space_vectors, catalog, mode, k,
         hits.append(1.0 if rank <= k else 0.0)
         rranks.append(1.0 / rank if rank <= k else 0.0)
     return sum(hits) / len(hits), sum(rranks) / len(rranks)
+
+
+# ---------------------------------------------------------------------------
+# reference trainer: one TrainingPair of hotel ids per step, a gradient object
+# per pair and a dict of touched W_c rows, exactly as the package trained
+# before its integer-indexed step. train() must match it bit for bit.
+
+EPS_NORM = 1e-12
+
+
+def _make_pairs(session, window):
+    clicks = session.clicks
+    out = []
+    for i, target in enumerate(clicks):
+        lo = max(0, i - window)
+        hi = min(len(clicks), i + window + 1)
+        for j in range(lo, hi):
+            if j == i or clicks[j] == target:
+                continue
+            out.append((target, clicks[j]))
+    return out
+
+
+def _sample_negatives(catalog, target, context, n_neg, rng):
+    market = catalog.market_of(target)
+    members = catalog.market_list(market)
+    excluded = {target, context}
+    n_eligible = len(members) - sum(1 for e in excluded if e in catalog.market_members(market))
+    if n_eligible <= 0:
+        raise PairSkipped(f"market {market!r} has no eligible negatives")
+    out = []
+    while len(out) < n_neg:
+        for i in rng.integers(0, len(members), size=n_neg - len(out)):
+            candidate = members[i]
+            if candidate not in excluded:
+                out.append(candidate)
+    return out
+
+
+def reference_epoch_stream(sessions, catalog, window, n_neg, seed, epoch_index,
+                           skip_counter=None):
+    order = substream(seed, "shuffle", epoch_index).permutation(len(sessions))
+    neg_rng = substream(seed, "negatives", epoch_index)
+    for si in order:
+        session = sessions.sessions[si]
+        for target, context in _make_pairs(session, window):
+            try:
+                negs = _sample_negatives(catalog, target, context, n_neg, neg_rng)
+            except PairSkipped:
+                if skip_counter is not None:
+                    skip_counter[0] += 1
+                continue
+            yield TrainingPair(target, context, tuple(negs))
+
+
+def _softplus(x):
+    return float(np.logaddexp(0.0, x))
+
+
+def _sigmoid(x):
+    if x >= 0:
+        return 1.0 / (1.0 + math.exp(-x))
+    e = math.exp(x)
+    return e / (1.0 + e)
+
+
+def _resolve_source_vector(target_id, source_space, mapping):
+    if mapping is not None:
+        src_id = mapping.to_source(target_id)
+        if src_id is None:
+            return None
+    else:
+        src_id = target_id
+    if source_space is None or src_id not in source_space.vectors:
+        raise ValueError(
+            f"hotel {target_id!r} is mapped but source space has no vector "
+            f"for {src_id!r}")
+    return source_space.vectors[src_id]
+
+
+def _norm_relu_rows(y):
+    norms = np.sqrt(np.einsum("ij,ij->i", y, y))
+    safe = norms >= EPS_NORM
+    inv = np.where(safe, 1.0 / np.where(safe, norms, 1.0), 0.0)
+    yhat = y * inv[:, None]
+    return np.maximum(yhat, 0.0), yhat, inv
+
+
+def _norm_relu_back_rows(du, yhat, inv):
+    masked = np.where(yhat > 0, du, 0.0)
+    proj = np.einsum("ij,ij->i", yhat, masked)
+    return (masked - yhat * proj[:, None]) * inv[:, None]
+
+
+def reference_gradients(pair, params, amenities, geo, index, cfg,
+                        source_space=None, mapping=None):
+    """Returns ({w_c row: grad}, dw_a, dw_g, dw_e, loss)."""
+    uniq = []
+    pos_of = {}
+    for hid in (pair.target, pair.context, *pair.negatives):
+        if hid not in pos_of:
+            pos_of[hid] = len(uniq)
+            uniq.append(hid)
+    idxs = np.array([index[h] for h in uniq])
+
+    y_c = params.w_c[idxs]
+    u_c, yhat_c, inv_c = _norm_relu_rows(y_c)
+    a_in = amenities[idxs]
+    u_a, yhat_a, inv_a = _norm_relu_rows(a_in @ params.w_a)
+    g_in = geo[idxs]
+    u_g, yhat_g, inv_g = _norm_relu_rows(g_in @ params.w_g)
+    u = np.concatenate([u_c, u_a, u_g], axis=1)
+    z = u @ params.w_e
+    v = np.maximum(z, 0.0)
+
+    t = pos_of[pair.target]
+    c = pos_of[pair.context]
+    v_t = v[t]
+    s_pos = float(v_t @ v[c])
+    loss = _softplus(-s_pos)
+    g_pos = -_sigmoid(-s_pos)
+
+    dv = np.zeros_like(v)
+    dv[t] += g_pos * v[c]
+    dv[c] += g_pos * v_t
+    neg_pos = np.array([pos_of[n] for n in pair.negatives])
+    s_neg = v[neg_pos] @ v_t
+    loss += float(np.sum(np.logaddexp(0.0, s_neg)))
+    g_neg = _expit(s_neg)
+    dv[t] += g_neg @ v[neg_pos]
+    np.add.at(dv, neg_pos, g_neg[:, None] * v_t[None, :])
+
+    if cfg.lam > 0:
+        v_src = _resolve_source_vector(pair.target, source_space, mapping)
+        if v_src is not None:
+            diff = v_t - v_src
+            norm = float(np.linalg.norm(diff))
+            if cfg.reg_variant == "norm":
+                loss += cfg.lam * norm
+                if norm >= EPS_NORM:
+                    dv[t] += cfg.lam / norm * diff
+            else:
+                loss += cfg.lam * norm * norm
+                dv[t] += 2.0 * cfg.lam * diff
+
+    dz = np.where(z > 0, dv, 0.0)
+    dw_e = u.T @ dz
+    du = dz @ params.w_e.T
+    d_c, d_a = cfg.d_c, cfg.d_a
+    dy_c = _norm_relu_back_rows(du[:, :d_c], yhat_c, inv_c)
+    dy_a = _norm_relu_back_rows(du[:, d_c:d_c + d_a], yhat_a, inv_a)
+    dy_g = _norm_relu_back_rows(du[:, d_c + d_a:], yhat_g, inv_g)
+    dw_a = a_in.T @ dy_a
+    dw_g = g_in.T @ dy_g
+
+    mu = cfg.l2_weight
+    if mu > 0:
+        loss += 0.5 * mu * (float(np.einsum("ij,ij->", y_c, y_c))
+                            + float(np.einsum("ij,ij->", params.w_a, params.w_a))
+                            + float(np.einsum("ij,ij->", params.w_g, params.w_g))
+                            + float(np.einsum("ij,ij->", params.w_e, params.w_e)))
+        dy_c = dy_c + mu * y_c
+        dw_a += mu * params.w_a
+        dw_g += mu * params.w_g
+        dw_e += mu * params.w_e
+
+    w_c_rows = {int(idxs[i]): dy_c[i] for i in range(len(uniq))}
+    return w_c_rows, dw_a, dw_g, dw_e, loss
+
+
+class _ReferenceAdam:
+    def __init__(self, params, cfg):
+        self.m = {n: np.zeros_like(getattr(params, n))
+                  for n in ("w_c", "w_a", "w_g", "w_e")}
+        self.v = {n: np.zeros_like(getattr(params, n))
+                  for n in ("w_c", "w_a", "w_g", "w_e")}
+        self.t = 0
+        self.cfg = cfg
+
+    def update(self, params, grads):
+        cfg = self.cfg
+        self.t += 1
+        b1, b2, eps, lr = cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps, cfg.learning_rate
+        c1 = 1.0 - b1 ** self.t
+        c2 = 1.0 - b2 ** self.t
+        w_c_rows, dense = grads[0], dict(zip(("w_a", "w_g", "w_e"), grads[1:4]))
+        for name in ("w_a", "w_g", "w_e"):
+            g = dense[name]
+            m, v = self.m[name], self.v[name]
+            m *= b1
+            m += (1 - b1) * g
+            v *= b2
+            v += (1 - b2) * g * g
+            getattr(params, name)[...] -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+        for idx, g in w_c_rows.items():
+            m, v = self.m["w_c"][idx], self.v["w_c"][idx]
+            m *= b1
+            m += (1 - b1) * g
+            v *= b2
+            v += (1 - b2) * g * g
+            params.w_c[idx] -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+
+
+def _reference_sgd_update(params, grads, lr):
+    w_c_rows, dw_a, dw_g, dw_e = grads[:4]
+    for idx, g in w_c_rows.items():
+        params.w_c[idx] -= lr * g
+    params.w_a -= lr * dw_a
+    params.w_g -= lr * dw_g
+    params.w_e -= lr * dw_e
+
+
+def reference_train(train_sessions, catalog, cfg, source_space=None,
+                    mapping=None):
+    """Returns (params, mean loss per epoch); raises TrainingDiverged like
+    the package's train()."""
+    params = init_params(catalog, cfg,
+                         lambda label: substream(cfg.seed, "init", label))
+    amenities, geo = catalog.amenity_matrix(), catalog.geo_matrix()
+    adam = _ReferenceAdam(params, cfg) if cfg.optimizer == "adam" else None
+    epoch_losses = []
+    step = 0
+    for epoch in range(cfg.epochs):
+        loss_sum = 0.0
+        n_pairs = 0
+        stream = reference_epoch_stream(train_sessions, catalog, cfg.window,
+                                        cfg.n_neg, cfg.seed, epoch)
+        for pair in stream:
+            grads = reference_gradients(pair, params, amenities, geo,
+                                        catalog.index, cfg, source_space, mapping)
+            loss = grads[4]
+            if not np.isfinite(loss):
+                raise TrainingDiverged(step, pair, loss)
+            if adam is not None:
+                adam.update(params, grads)
+            else:
+                _reference_sgd_update(params, grads, cfg.learning_rate)
+            loss_sum += loss
+            n_pairs += 1
+            step += 1
+        epoch_losses.append(loss_sum / n_pairs)
+    return params, epoch_losses

@@ -211,6 +211,14 @@ def test_read_projection_rejects_bad_shape(tmp_path):
         read_projection(p)
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_read_projection_rejects_non_finite_entries(tmp_path, bad):
+    p = tmp_path / "w.proj"
+    p.write_text(f"2 2 orthogonal\n1.0 0.0\n\n0.0 {bad}\n")
+    with pytest.raises(ValueError, match=r"w\.proj:4: non-finite"):
+        read_projection(p)
+
+
 def test_read_projection_rejects_bad_header(tmp_path):
     p = tmp_path / "w.proj"
     p.write_text("2 2\n1.0 0.0\n0.0 1.0\n")

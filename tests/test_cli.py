@@ -113,6 +113,21 @@ def test_train_missing_catalog_is_runtime_error(tmp_path, world_dir):
     assert rc == 1
 
 
+def test_train_without_pairs_is_runtime_error(world_dir, tmp_path, capsys):
+    # a single session lands in val under the default 8:1:1 split
+    first = (world_dir / "sessions_A.jsonl").read_text().splitlines()[0]
+    one = tmp_path / "one.jsonl"
+    one.write_text(first + "\n")
+    out = tmp_path / "x.emb"
+    rc = main(["train", "--catalog", str(world_dir / "catalog.jsonl"),
+               "--sessions", str(one), "--brand", "A", "--out", str(out)]
+              + TRAIN_SMALL)
+    assert rc == 1
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error: nothing to train on") and "\n" not in err
+    assert not out.exists()
+
+
 def test_train_bad_ratios_is_usage_error(world_dir, tmp_path):
     rc = main(["train", "--catalog", str(world_dir / "catalog.jsonl"),
                "--sessions", str(world_dir / "sessions_A.jsonl"),
@@ -279,6 +294,53 @@ def test_eval_orthogonal_projection_preserves_cosine_metrics(
                      for line in p.read_text().splitlines()
                      if "metadata" not in json.loads(line)]
     assert get(plain) == get(rot)
+
+
+def test_eval_cross_market_truth_counts_as_miss(world_dir, trained, tmp_path):
+    a_emb, _ = trained
+    catalog = [json.loads(line)
+               for line in (world_dir / "catalog.jsonl").read_text().splitlines()]
+    by_market = {}
+    for rec in catalog:
+        by_market.setdefault(rec["market_id"], []).append(rec["hotel_id"])
+    (m0, (q, t)), (m1, (far, _)) = [(m, ids[:2]) for m, ids in sorted(by_market.items())]
+    sessions = tmp_path / "cross.jsonl"
+    sessions.write_text(json.dumps({"session_id": "s0", "brand": "A",
+                                    "market_id": m0, "clicks": [q, far]}) + "\n"
+                        + json.dumps({"session_id": "s1", "brand": "A",
+                                      "market_id": m0, "clicks": [q, t]}) + "\n")
+    out = tmp_path / "metrics.jsonl"
+    with pytest.warns(UserWarning, match="outside market"):
+        rc = main(["eval", "--catalog", str(world_dir / "catalog.jsonl"),
+                   "--sessions", str(sessions), "--brand", "A",
+                   "--embeddings", a_emb, "--out", str(out), "--k", "100"])
+    assert rc == 0
+    rows = [json.loads(line) for line in out.read_text().splitlines()]
+    assert rows[-1]["metadata"]["truth_outside_pool"] == 1
+    # the in-market event is a hit at k=100 (12-hotel market), the other a miss
+    assert rows[0]["n_events"] == 2 and rows[0]["hits"] == 0.5
+
+
+def test_eval_without_cross_market_clicks_has_no_outside_count(world_dir, trained,
+                                                               tmp_path):
+    a_emb, _ = trained
+    out = tmp_path / "metrics.jsonl"
+    assert main(eval_args(world_dir, a_emb, "A", out)) == 0
+    assert "truth_outside_pool" not in out.read_text()
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_eval_non_finite_embedding_is_runtime_error(world_dir, trained, tmp_path,
+                                                    capsys, bad):
+    a_emb, _ = trained
+    lines = open(a_emb).read().splitlines()
+    parts = lines[2].split()
+    lines[2] = " ".join([parts[0], bad] + parts[2:])
+    corrupt = tmp_path / "corrupt.emb"
+    corrupt.write_text("\n".join(lines) + "\n")
+    rc = main(eval_args(world_dir, str(corrupt), "A", tmp_path / "x.jsonl"))
+    assert rc == 1
+    assert "corrupt.emb:3: non-finite" in capsys.readouterr().err
 
 
 def test_eval_missing_embeddings_file(world_dir, tmp_path):

@@ -8,13 +8,14 @@ from brandalign import synth
 from brandalign.data import BrandMapping
 from brandalign.model import (EmbeddingSpace, ModelParams, TrainConfig,
                               TrainingDiverged, da_loss, enriched_embedding,
-                              export_embeddings, feature_embed, gradients,
+                              export_embeddings, feature_embed, pair_gradients,
                               init_params, read_embeddings, sgns_loss, train,
                               write_embeddings)
 from brandalign.pairs import TrainingPair
 from brandalign.rng import substream
 from conftest import make_catalog, make_sessions
-from oracles import finite_difference_max_rel_err, straight_line_embedding
+from oracles import (finite_difference_max_rel_err, reference_train,
+                     straight_line_embedding)
 
 FD_TOL = 1e-4
 
@@ -221,7 +222,7 @@ def test_gradients_match_finite_differences_partial_mapping():
 def test_gradients_untouched_rows_are_absent():
     cfg = tiny_config(n_neg=1, lam=0.0, l2_weight=0.0)
     catalog, params, pair, _ = random_instance(4, cfg)
-    grads, _ = gradients(pair, params, catalog, cfg)
+    grads, _ = pair_gradients(pair, params, catalog, cfg)
     touched = {catalog.index[h] for h in (pair.target, pair.context,
                                           *pair.negatives)}
     assert set(grads.w_c_rows) == touched
@@ -232,7 +233,7 @@ def test_gradients_missing_source_vector_is_an_error():
     catalog, params, pair, source = random_instance(5, cfg)
     del source.vectors[pair.target]
     with pytest.raises(ValueError, match="source space has no vector"):
-        gradients(pair, params, catalog, cfg, source, None)
+        pair_gradients(pair, params, catalog, cfg, source, None)
 
 
 def test_gradients_regularizer_skipped_for_unmapped_hotel():
@@ -240,8 +241,8 @@ def test_gradients_regularizer_skipped_for_unmapped_hotel():
     catalog, params, pair, source = random_instance(6, cfg)
     plain_cfg = tiny_config(lam=0.0)
     empty = BrandMapping({})
-    g_reg, loss_reg = gradients(pair, params, catalog, cfg, source, empty)
-    g_plain, loss_plain = gradients(pair, params, catalog, plain_cfg)
+    g_reg, loss_reg = pair_gradients(pair, params, catalog, cfg, source, empty)
+    g_plain, loss_plain = pair_gradients(pair, params, catalog, plain_cfg)
     assert loss_reg == loss_plain
     assert np.array_equal(g_reg.w_e, g_plain.w_e)
 
@@ -334,6 +335,63 @@ def test_train_diverges_with_absurd_learning_rate():
         train(sessions, world.catalog, cfg)
 
 
+def test_train_without_pairs_is_an_error():
+    # two hotels in one market: no pair has an eligible negative
+    catalog = make_catalog({"m0": ["A", "B"]})
+    sessions = make_sessions("X", [["A", "B"]], catalog)
+    with pytest.raises(ValueError,
+                       match=r"nothing to train on.*\(2 pairs skipped per epoch\)"):
+        train(sessions, catalog, tiny_config(epochs=2))
+    with pytest.raises(ValueError, match="nothing to train on"):
+        train(make_sessions("X", [], catalog), catalog, tiny_config())
+
+
+# The integer-indexed trainer must reproduce the string-keyed per-pair loop
+# in tests/oracles.py bit for bit: same pairs, same negatives, same floats.
+REFERENCE_CASES = {
+    "sgd": dict(),
+    "sgd_l2": dict(l2_weight=1e-3),
+    "norm_l2_partial_mapping": dict(lam=1.0, reg_variant="norm", l2_weight=1e-3),
+    "squared_norm_partial_mapping": dict(lam=1.0, reg_variant="squared_norm"),
+    "adam": dict(optimizer="adam", learning_rate=0.01),
+    "adam_l2_duplicate_negatives": dict(optimizer="adam", learning_rate=0.01,
+                                        n_neg=3, l2_weight=1e-3),
+    "duplicate_negatives": dict(n_neg=3),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
+def test_train_matches_reference_loop_bit_for_bit(case):
+    world, sessions = _tiny_world()
+    catalog = world.catalog
+    cfg = tiny_config(d_c=4, d_a=3, d_g=2, d=8, epochs=3, seed=5,
+                      **REFERENCE_CASES[case])
+    source = mapping = None
+    if cfg.lam > 0:
+        rng = np.random.default_rng(9)
+        source = EmbeddingSpace(dim=cfg.d, brand="S", vectors={
+            h: np.abs(rng.normal(0, 0.5, cfg.d)) for h in catalog.hotel_ids})
+        mapping = BrandMapping({h: h for h in catalog.hotel_ids[::2]})
+    losses = []
+    got = train(sessions, catalog, cfg, source_space=source, mapping=mapping,
+                epoch_loss_sink=lambda e, l: losses.append(l))
+    want, want_losses = reference_train(sessions, catalog, cfg, source, mapping)
+    for name in ("w_c", "w_a", "w_g", "w_e"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    # the L2 term of the loss is summed in another order
+    assert losses == pytest.approx(want_losses, rel=1e-12, abs=0)
+
+
+def test_train_diverges_at_the_reference_step_and_pair():
+    world, sessions = _tiny_world()
+    cfg = replace(tiny_config(epochs=5, learning_rate=1e3), l2_weight=1.0)
+    with pytest.raises(TrainingDiverged) as got:
+        train(sessions, world.catalog, cfg)
+    with pytest.raises(TrainingDiverged) as want:
+        reference_train(sessions, world.catalog, cfg)
+    assert (got.value.step, got.value.pair) == (want.value.step, want.value.pair)
+
+
 def test_train_adam_optimizer_runs_and_is_deterministic():
     world, sessions = _tiny_world()
     cfg = tiny_config(epochs=2, optimizer="adam", learning_rate=0.01)
@@ -409,6 +467,12 @@ def test_read_embeddings_rejects_malformed_files(tmp_path):
     bad_count.write_text("2 2\nh0 0.1 0.2\n")
     with pytest.raises(ValueError, match="header count"):
         read_embeddings(bad_count)
+
+    for bad in ("nan", "inf", "-inf"):
+        non_finite = tmp_path / "bad4.emb"
+        non_finite.write_text(f"2 2\nh0 0.1 0.2\n\nh1 0.3 {bad}\n")
+        with pytest.raises(ValueError, match=r"bad4\.emb:4: non-finite"):
+            read_embeddings(non_finite)
 
 
 def test_init_params_seeded_and_in_range():

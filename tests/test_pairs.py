@@ -10,6 +10,11 @@ from brandalign.rng import substream
 from conftest import make_catalog, make_sessions
 
 
+def _pool(catalog, hotel):
+    """The hotel ids of hotel's market: the pool its negatives come from."""
+    return catalog.market_list(catalog.market_of(hotel))
+
+
 def _session(clicks, market="m0", brand="A"):
     return ClickSession(session_id="s", brand=brand, market_id=market,
                         clicks=tuple(clicks))
@@ -68,7 +73,7 @@ def test_make_pairs_symmetry(length, window):
 def test_negatives_respect_exclusions(catalog4):
     rng = substream(0, "negatives", 0)
     for _ in range(20):
-        negs = sample_negatives(catalog4, "A", "B", 2, rng)
+        negs = sample_negatives(_pool(catalog4, "A"), "A", "B", 2, rng)
         assert len(negs) == 2
         assert set(negs) <= {"C", "D"}
 
@@ -77,13 +82,14 @@ def test_negatives_empty_eligible_set_skips():
     catalog = make_catalog({"m0": ["A", "B"]})
     rng = substream(0, "negatives", 0)
     with pytest.raises(PairSkipped):
-        sample_negatives(catalog, "A", "B", 1, rng)
+        sample_negatives(_pool(catalog, "A"), "A", "B", 1, rng)
 
 
 def test_negatives_deterministic_under_seed(catalog4):
     def draw():
         rng = substream(9, "negatives", 0)
-        return [sample_negatives(catalog4, "A", "B", 3, rng) for _ in range(5)]
+        return [sample_negatives(_pool(catalog4, "A"), "A", "B", 3, rng)
+                for _ in range(5)]
     assert draw() == draw()
 
 
@@ -91,13 +97,13 @@ def test_negatives_sample_with_replacement():
     # eligible set of size 1: every draw must be the single eligible hotel
     catalog = make_catalog({"m0": ["A", "B", "C"]})
     rng = substream(0, "negatives", 0)
-    assert sample_negatives(catalog, "A", "B", 4, rng) == ["C", "C", "C", "C"]
+    assert sample_negatives(_pool(catalog, "A"), "A", "B", 4, rng) == ["C", "C", "C", "C"]
 
 
 def test_negatives_share_target_market(catalog6):
     rng = substream(3, "negatives", 0)
     for target, context in [("h0", "h1"), ("h4", "h5")]:
-        negs = sample_negatives(catalog6, target, context, 5, rng)
+        negs = sample_negatives(_pool(catalog6, target), target, context, 5, rng)
         market = catalog6.market_of(target)
         for n in negs:
             assert catalog6.market_of(n) == market
@@ -135,9 +141,12 @@ def test_stream_pair_count_matches_brute_force():
                                     skip_counter))
     expected = sum(len(make_pairs(s, 1)) for s in sset.sessions)
     assert len(pairs) + skip_counter[0] == expected
-    for p in pairs:
-        assert len(p.negatives) == 2
-        assert p.target != p.context
+    ids = world.catalog.hotel_ids
+    for t, c, *negs in pairs:
+        assert len(negs) == 2
+        assert t != c
+        market = world.catalog.market_of(ids[t])
+        assert all(world.catalog.market_of(ids[n]) == market for n in negs)
 
 
 def test_stream_counts_skipped_pairs():
