@@ -11,10 +11,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .data import BrandMapping, check_finite
+from .data import BrandMapping, DataError, check_finite, parse_numbers
 from .model import EmbeddingSpace
-
-ORTHO_TOL = 1e-8
 
 
 @dataclass
@@ -99,11 +97,20 @@ def read_projection(path) -> ProjectionMatrix:
         header = fh.readline().split()
         if len(header) != 3:
             raise ValueError(f"{path}: bad header")
-        d_s, d_t, kind = int(header[0]), int(header[1]), header[2]
-        numbered = [(lineno, line) for lineno, line in enumerate(fh, start=2)
-                    if line.strip()]
-    w = np.stack([np.array([float(x) for x in line.split()]) for _, line in numbered])
-    if w.shape != (d_s, d_t):
-        raise ValueError(f"{path}: expected {d_s}x{d_t} matrix, got {w.shape}")
-    check_finite(w, path, [lineno for lineno, _ in numbered])
+        (d_s, d_t), kind = parse_numbers(header[:2], int, path, 1), header[2]
+        if d_s < 1 or d_t < 1:
+            raise DataError(f"{path}:1: dimensions must be positive, got {d_s}x{d_t}")
+        rows, linenos = [], []
+        for lineno, line in enumerate(fh, start=2):
+            fields = line.split()
+            if not fields:
+                continue
+            if len(fields) != d_t:
+                raise DataError(f"{path}:{lineno}: expected {d_t} entries, got {len(fields)}")
+            rows.append(parse_numbers(fields, float, path, lineno))
+            linenos.append(lineno)
+    if len(rows) != d_s:
+        raise DataError(f"{path}:1: expected {d_s}x{d_t} matrix, got {len(rows)} rows")
+    w = np.array(rows, dtype=float).reshape(d_s, d_t)
+    check_finite(w, path, linenos)
     return ProjectionMatrix(w=w, kind=kind, fit_residual=float("nan"))

@@ -21,6 +21,15 @@ class DataError(ValueError):
     """Malformed or inconsistent input data."""
 
 
+def parse_numbers(fields, cast, path, lineno: int) -> list:
+    """fields cast by int or float; a malformed one is a DataError naming
+    path and line."""
+    try:
+        return [cast(x) for x in fields]
+    except ValueError as exc:
+        raise DataError(f"{path}:{lineno}: {exc}") from None
+
+
 def check_finite(matrix: np.ndarray, path, linenos: list[int]):
     """Reject nan/inf in a matrix read from path; linenos[i] is row i's line."""
     finite = np.isfinite(matrix).all(axis=1)

@@ -115,10 +115,39 @@ class _MarketCache:
             self.ids = tuple(sorted(catalog.index))
         vecs = [get(h) for h in self.ids]
         self.present = np.array([v is not None for v in vecs])
-        self.matrix = np.stack([v if v is not None else np.zeros(dim)
-                                for v in vecs])
+        self.matrix = np.stack([np.zeros(dim) if v is None else v for v in vecs])
         self.norms = np.linalg.norm(self.matrix, axis=1)
+        # cosine query norms by 1-D norm, bit for bit as _score_block takes them
+        self.q_norms = np.array([float(np.linalg.norm(v)) for v in self.matrix])
+        self.n_missing = int(np.sum(~self.present))
         self.pos = {h: i for i, h in enumerate(self.ids)}
+
+
+_BLOCK_CELLS = 2 ** 14  # score cells (events x candidates) per block: 128 KB
+
+
+def _pool_ranks(cache: _MarketCache, q_pos, t_pos, mode: str):
+    """Truth ranks of events given as pool positions, a block at a time. A
+    truth without an embedding follows every scored candidate, by position."""
+    present = cache.present
+    ranks = np.sum(present) - 1 + np.cumsum(~present)[t_pos]
+    step = max(1, _BLOCK_CELLS // len(present))
+    scored = np.flatnonzero(present[t_pos])
+    for b in (scored[lo:lo + step] for lo in range(0, len(scored), step)):
+        qb, tb, rows = q_pos[b], t_pos[b], np.arange(len(b))
+        # one gemv per event: bit-identical to _score_block's matrix @ v_q
+        scores = np.matmul(cache.matrix[None], cache.matrix[qb][:, :, None])[:, :, 0]
+        if mode == "cosine":
+            qn = cache.q_norms[qb][:, None]
+            scores = np.divide(scores, cache.norms * qn, out=np.zeros_like(scores),
+                               where=present & (cache.norms > 0) & (qn > 0))
+        elif mode != "model":
+            raise ValueError(f"unknown mode {mode!r}")
+        s_t = scores[rows, tb][:, None]
+        ahead = (scores > s_t) | ((scores == s_t) & (np.arange(len(present)) < tb[:, None]))
+        # the query is present and never its own candidate
+        ranks[b] = 1 + np.count_nonzero(ahead & present, axis=1) - ahead[rows, qb]
+    return ranks
 
 
 def _event_ranks(events, catalog: HotelCatalog, get, dim: int, mode: str,
@@ -131,40 +160,28 @@ def _event_ranks(events, catalog: HotelCatalog, get, dim: int, mode: str,
     A truth outside the pool (a click into another market) misses: rank inf.
     """
     caches: dict[str, _MarketCache] = {}
-    ranks = []
-    skipped = 0
-    missing_total = 0
+    groups: dict[str, list] = {}  # pool key -> [(rank slot, q_pos, t_pos)]
+    ranks, skipped, missing_total = [], 0, 0
     for ev in events:
         key = ev.market_id if pool == "market" else "__global__"
         cache = caches.get(key)
         if cache is None:
-            cache = _MarketCache(catalog, ev.market_id, get, dim, pool)
-            caches[key] = cache
-        v_q = get(ev.query)
-        if v_q is None:
+            cache = caches[key] = _MarketCache(catalog, ev.market_id, get, dim, pool)
+        q_pos = cache.pos[ev.query]
+        if not cache.present[q_pos]:
             if skip_missing_query:
                 skipped += 1
                 continue
             raise ValueError(f"query hotel {ev.query!r} missing from space")
-        q_pos = cache.pos[ev.query]
-        missing_total += int(np.sum(~cache.present))
+        missing_total += cache.n_missing
         t_pos = cache.pos.get(ev.truth)
-        if t_pos is None:
-            ranks.append(math.inf)
-            continue
-        active = cache.present.copy()  # query is always present here
-        active[q_pos] = False
-        scores = _score_block(cache.matrix, cache.norms, cache.present, v_q, mode)
-        if cache.present[t_pos]:
-            s_t = scores[t_pos]
-            better = np.sum(active & (scores > s_t))
-            tied_before = np.sum(active[:t_pos] & (scores[:t_pos] == s_t))
-            rank = 1 + int(better) + int(tied_before)
-        else:
-            n_present = int(np.sum(active))
-            miss_before = int(np.sum(~cache.present[:t_pos]))
-            rank = n_present + 1 + miss_before
-        ranks.append(rank)
+        if t_pos is not None:
+            groups.setdefault(key, []).append((len(ranks), q_pos, t_pos))
+        ranks.append(math.inf)  # stays inf when the truth is outside the pool
+    for key, rows in groups.items():
+        slots, q_pos, t_pos = np.array(rows).T
+        for slot, rank in zip(slots, _pool_ranks(caches[key], q_pos, t_pos, mode).tolist()):
+            ranks[slot] = rank
     return ranks, skipped, missing_total
 
 

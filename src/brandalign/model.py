@@ -15,7 +15,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.special import expit as _expit
 
-from .data import BrandMapping, HotelCatalog, SessionSet, check_finite
+from .data import (BrandMapping, DataError, HotelCatalog, SessionSet,
+                   check_finite, parse_numbers)
 from .pairs import TrainingPair, build_epoch_stream
 
 EPS_NORM = 1e-12
@@ -451,17 +452,19 @@ def read_embeddings(path, brand: str = "unknown") -> EmbeddingSpace:
         header = fh.readline().split()
         if len(header) != 2:
             raise ValueError(f"{path}: bad header")
-        count, dim = int(header[0]), int(header[1])
+        count, dim = parse_numbers(header, int, path, 1)
+        if dim < 1:
+            raise DataError(f"{path}:1: dimension must be positive, got {dim}")
         ids, coords, linenos = [], [], []
         for lineno, line in enumerate(fh, start=2):
             parts = line.split()
             if not parts:
                 continue
             if len(parts) != dim + 1:
-                raise ValueError(f"{path}: expected {dim} coordinates for "
-                                 f"{parts[0]!r}, got {len(parts) - 1}")
+                raise DataError(f"{path}:{lineno}: expected {dim} coordinates for "
+                                f"{parts[0]!r}, got {len(parts) - 1}")
             ids.append(parts[0])
-            coords.append([float(x) for x in parts[1:]])
+            coords.append(parse_numbers(parts[1:], float, path, lineno))
             linenos.append(lineno)
     matrix = np.array(coords, dtype=float).reshape(len(ids), dim)
     check_finite(matrix, path, linenos)

@@ -3,7 +3,8 @@
 Everything here is written straight-line from the definitions, on purpose
 duplicating none of the library's code paths: a second forward pass for the
 enriched embedding, a finite-difference gradient checker, a brute-force
-ranking-metric calculator, and the string-keyed per-pair training loop the
+ranking-metric calculator, the per-event ranking loop the blocked ranker
+must reproduce exactly, and the string-keyed per-pair training loop the
 integer-indexed trainer must reproduce bit for bit.
 """
 
@@ -136,6 +137,77 @@ def brute_force_metrics(events, space_vectors, catalog, mode, k,
         hits.append(1.0 if rank <= k else 0.0)
         rranks.append(1.0 / rank if rank <= k else 0.0)
     return sum(hits) / len(hits), sum(rranks) / len(rranks)
+
+
+# ---------------------------------------------------------------------------
+# reference event ranker: one gemv and a few reductions per event, exactly as
+# the package ranked events before scoring them in blocks per market.
+# _event_ranks() must return the same ranks, skip count and missing count.
+
+def _reference_pool(catalog, market_id, get, dim, pool):
+    if pool == "market":
+        ids = catalog.market_list(market_id)
+    else:
+        ids = tuple(sorted(catalog.index))
+    vecs = [get(h) for h in ids]
+    present = np.array([v is not None for v in vecs])
+    matrix = np.stack([v if v is not None else np.zeros(dim) for v in vecs])
+    norms = np.linalg.norm(matrix, axis=1)
+    return present, matrix, norms, {h: i for i, h in enumerate(ids)}
+
+
+def _reference_scores(matrix, norms, present, v_q, mode):
+    dots = matrix @ v_q
+    if mode == "model":
+        return dots
+    if mode != "cosine":
+        raise ValueError(f"unknown mode {mode!r}")
+    q_norm = float(np.linalg.norm(v_q))
+    scores = np.zeros_like(dots)
+    if q_norm > 0:
+        nz = present & (norms > 0)
+        scores[nz] = dots[nz] / (norms[nz] * q_norm)
+    return scores
+
+
+def reference_event_ranks(events, catalog, get, dim, mode,
+                          skip_missing_query=False, pool="market"):
+    """Returns (ranks, skipped, missing_total) like _event_ranks."""
+    pools = {}
+    ranks = []
+    skipped = 0
+    missing_total = 0
+    for ev in events:
+        key = ev.market_id if pool == "market" else "__global__"
+        if key not in pools:
+            pools[key] = _reference_pool(catalog, ev.market_id, get, dim, pool)
+        present, matrix, norms, pos = pools[key]
+        v_q = get(ev.query)
+        if v_q is None:
+            if skip_missing_query:
+                skipped += 1
+                continue
+            raise ValueError(f"query hotel {ev.query!r} missing from space")
+        q_pos = pos[ev.query]
+        missing_total += int(np.sum(~present))
+        t_pos = pos.get(ev.truth)
+        if t_pos is None:
+            ranks.append(math.inf)
+            continue
+        active = present.copy()
+        active[q_pos] = False
+        scores = _reference_scores(matrix, norms, present, v_q, mode)
+        if present[t_pos]:
+            s_t = scores[t_pos]
+            better = np.sum(active & (scores > s_t))
+            tied_before = np.sum(active[:t_pos] & (scores[:t_pos] == s_t))
+            rank = 1 + int(better) + int(tied_before)
+        else:
+            n_present = int(np.sum(active))
+            miss_before = int(np.sum(~present[:t_pos]))
+            rank = n_present + 1 + miss_before
+        ranks.append(rank)
+    return ranks, skipped, missing_total
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import pytest
 from brandalign.align import (ProjectionMatrix, apply_projection, common_rows,
                               fit_linear_projection, fit_procrustes,
                               read_projection, write_projection)
-from brandalign.data import BrandMapping
+from brandalign.data import BrandMapping, DataError
 from brandalign.model import EmbeddingSpace
 
 
@@ -223,4 +223,19 @@ def test_read_projection_rejects_bad_header(tmp_path):
     p = tmp_path / "w.proj"
     p.write_text("2 2\n1.0 0.0\n0.0 1.0\n")
     with pytest.raises(ValueError, match="bad header"):
+        read_projection(p)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("2 x orthogonal\n1.0 0.0\n0.0 1.0\n", r"w\.proj:1: invalid literal for int"),
+    ("2 2 orthogonal\n\n", r"w\.proj:1: expected 2x2 matrix, got 0 rows"),
+    ("0 -1 orthogonal\n", r"w\.proj:1: dimensions must be positive, got 0x-1"),
+    ("2 2 orthogonal\n1.0 0.0\n0.0 1.0 2.0\n", r"w\.proj:3: expected 2 entries, got 3"),
+    ("2 2 orthogonal\n1.0 0.0\n0.0 zz\n", r"w\.proj:3: could not convert .*'zz'"),
+])
+def test_read_projection_names_file_and_line_of_malformed_input(tmp_path, text,
+                                                                message):
+    p = tmp_path / "w.proj"
+    p.write_text(text)
+    with pytest.raises(DataError, match=message):
         read_projection(p)

@@ -343,6 +343,26 @@ def test_eval_non_finite_embedding_is_runtime_error(world_dir, trained, tmp_path
     assert "corrupt.emb:3: non-finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("which, text", [
+    ("embeddings", "2 x\nh0 0.1 0.2\n"),
+    ("projection", "8 8 orthogonal\n"),
+])
+def test_eval_malformed_input_names_the_file(world_dir, trained, tmp_path, capsys,
+                                             which, text):
+    a_emb, _ = trained
+    bad = tmp_path / f"malformed.{which}"
+    bad.write_text(text)
+    if which == "embeddings":
+        args = eval_args(world_dir, str(bad), "A", tmp_path / "x.jsonl")
+    else:
+        args = eval_args(world_dir, a_emb, "A", tmp_path / "x.jsonl",
+                         "--apply-projection", str(bad))
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert f"malformed.{which}:1:" in err
+    assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+
+
 def test_eval_missing_embeddings_file(world_dir, tmp_path):
     rc = main(eval_args(world_dir, str(tmp_path / "no.emb"), "A",
                         tmp_path / "x.jsonl"))

@@ -2,15 +2,17 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from brandalign.data import BrandMapping
-from brandalign.evaluate import (MetricsReport, PredictionEvent,
-                                 cross_brand_evaluate, evaluate, event_pool,
-                                 hits_at_k, make_events, mrr_at_k,
+from brandalign.evaluate import (_BLOCK_CELLS, MetricsReport, PredictionEvent,
+                                 _event_ranks, cross_brand_evaluate, evaluate,
+                                 event_pool, hits_at_k, make_events, mrr_at_k,
                                  rank_candidates, write_metrics)
 from brandalign.model import EmbeddingSpace
 from conftest import make_catalog, make_sessions
-from oracles import brute_force_metrics
+from oracles import brute_force_metrics, reference_event_ranks
 
 
 def space_of(catalog, vectors, brand="B", dim=None):
@@ -279,6 +281,84 @@ def test_cross_brand_all_queries_unmapped_raises():
     with pytest.raises(ValueError, match="every query was unmapped"):
         cross_brand_evaluate(sessions, src_space, BrandMapping({"sA": "zz"}),
                              catalog)
+
+
+# ---------------------------------------------------------------------------
+# blocked ranker vs the per-event reference loop
+
+def _ranker_world(seed, n_markets, market_size, dim, n_events, palette,
+                  drop, cross):
+    """Catalog, vectors and events with exact ties (a palette of repeated
+    vectors, zero vectors), dropped embeddings and cross-market truths."""
+    rng = np.random.default_rng(seed)
+    markets = {f"m{i}": [f"m{i}h{j:03d}" for j in range(market_size)]
+               for i in range(n_markets)}
+    catalog = make_catalog(markets, seed=seed % 1000)
+    colours = rng.normal(size=(max(palette, 1), dim))
+    colours[0] = 0.0
+    vectors = {}
+    for h in catalog.hotel_ids:
+        if rng.random() < drop:
+            continue
+        vectors[h] = (colours[rng.integers(palette)].copy() if palette
+                      else rng.normal(size=dim) * (rng.random() > 0.05))
+    events = []
+    for _ in range(n_events):
+        m = f"m{rng.integers(n_markets)}"
+        query = markets[m][rng.integers(market_size)]
+        if rng.random() < cross:
+            truth = catalog.hotel_ids[rng.integers(len(catalog))]
+        else:
+            truth = markets[m][rng.integers(market_size)]
+        if truth != query:
+            events.append(PredictionEvent(query, truth, m))
+    return catalog, vectors, events
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), n_markets=st.integers(1, 3),
+       market_size=st.integers(1, 400), dim=st.integers(1, 40),
+       n_events=st.integers(0, 250), palette=st.sampled_from([0, 1, 3, 8]),
+       drop=st.sampled_from([0.0, 0.1, 0.5]), cross=st.sampled_from([0.0, 0.2]),
+       mode=st.sampled_from(["cosine", "model"]),
+       pool=st.sampled_from(["market", "global"]), skip=st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_event_ranks_match_the_per_event_reference(seed, n_markets, market_size,
+                                                   dim, n_events, palette, drop,
+                                                   cross, mode, pool, skip):
+    catalog, vectors, events = _ranker_world(seed, n_markets, market_size, dim,
+                                             n_events, palette, drop, cross)
+    args = (events, catalog, vectors.get, dim, mode)
+    try:
+        expected = reference_event_ranks(*args, skip_missing_query=skip, pool=pool)
+    except ValueError as exc:  # in-brand: a query without an embedding
+        with pytest.raises(ValueError) as raised:
+            _event_ranks(*args, skip_missing_query=skip, pool=pool)
+        assert str(raised.value) == str(exc)
+        return
+    got = _event_ranks(*args, skip_missing_query=skip, pool=pool)
+    assert got == expected
+    assert [type(r) for r in got[0]] == [type(r) for r in expected[0]]
+
+
+def test_event_ranks_match_the_reference_across_several_blocks():
+    # one market pool, and the global pool, each with many blocks
+    catalog, vectors, events = _ranker_world(7, 2, 300, 4, 600, 0, 0.1, 0.2)
+    for pool, n in (("market", 300), ("global", 600)):
+        assert len(events) > 4 * (_BLOCK_CELLS // n)
+        for mode in ("cosine", "model"):
+            args = (events, catalog, vectors.get, 4, mode)
+            assert (_event_ranks(*args, skip_missing_query=True, pool=pool)
+                    == reference_event_ranks(*args, skip_missing_query=True,
+                                             pool=pool))
+
+
+def test_event_ranks_name_the_first_missing_query_in_input_order():
+    catalog = make_catalog({"m0": ["a", "b", "c"], "m1": ["x", "y", "z"]})
+    vectors = {h: np.ones(2) for h in ("a", "c", "y")}
+    events = [PredictionEvent("a", "b", "m0"), PredictionEvent("z", "y", "m1"),
+              PredictionEvent("b", "a", "m0")]
+    with pytest.raises(ValueError, match=r"^query hotel 'z' missing from space$"):
+        _event_ranks(events, catalog, vectors.get, 2, "cosine")
 
 
 # ---------------------------------------------------------------------------

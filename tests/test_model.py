@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from brandalign import synth
-from brandalign.data import BrandMapping
+from brandalign.data import BrandMapping, DataError
 from brandalign.model import (EmbeddingSpace, ModelParams, TrainConfig,
                               TrainingDiverged, da_loss, enriched_embedding,
                               export_embeddings, feature_embed, pair_gradients,
@@ -473,6 +473,22 @@ def test_read_embeddings_rejects_malformed_files(tmp_path):
         non_finite.write_text(f"2 2\nh0 0.1 0.2\n\nh1 0.3 {bad}\n")
         with pytest.raises(ValueError, match=r"bad4\.emb:4: non-finite"):
             read_embeddings(non_finite)
+
+    bad_dim = tmp_path / "bad5.emb"
+    bad_dim.write_text("2 x\nh0 0.1 0.2\n")
+    with pytest.raises(DataError, match=r"bad5\.emb:1: invalid literal for int"):
+        read_embeddings(bad_dim)
+
+    bad_coordinate = tmp_path / "bad6.emb"
+    bad_coordinate.write_text("2 2\nh0 0.1 0.2\nh1 zz 0.2\n")
+    with pytest.raises(DataError, match=r"bad6\.emb:3: could not convert .*'zz'"):
+        read_embeddings(bad_coordinate)
+
+    for dim in ("0", "-1"):
+        bad_dim = tmp_path / "bad7.emb"
+        bad_dim.write_text(f"0 {dim}\n")
+        with pytest.raises(DataError, match=r"bad7\.emb:1: dimension must be positive"):
+            read_embeddings(bad_dim)
 
 
 def test_init_params_seeded_and_in_range():
