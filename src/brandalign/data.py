@@ -66,9 +66,10 @@ class HotelCatalog:
             if len(h.geo) != g_len:
                 raise DataError(
                     f"hotel {h.hotel_id!r}: geo length {len(h.geo)} != {g_len}")
-            if np.any(h.amenities < 0) or np.any(h.amenities > 1):
+            # written so that nan fails them too
+            if not np.all((h.amenities >= 0) & (h.amenities <= 1)):
                 raise DataError(f"hotel {h.hotel_id!r}: amenity entries outside [0,1]")
-            if np.any(h.geo < -1) or np.any(h.geo > 1):
+            if not np.all((h.geo >= -1) & (h.geo <= 1)):
                 raise DataError(f"hotel {h.hotel_id!r}: geo entries outside [-1,1]")
             self._by_id[h.hotel_id] = h
             self.markets.setdefault(h.market_id, set()).add(h.hotel_id)
@@ -176,14 +177,19 @@ def load_catalog(path) -> HotelCatalog:
     hotels = []
     for lineno, obj in _parse_lines(path):
         try:
-            hotels.append(HotelRecord(
+            record = HotelRecord(
                 hotel_id=str(obj["hotel_id"]),
                 market_id=str(obj["market_id"]),
                 amenities=np.asarray(obj["amenities"], dtype=float),
                 geo=np.asarray(obj["geo"], dtype=float),
-            ))
+            )
         except (KeyError, TypeError, ValueError) as exc:
             raise DataError(f"{path}:{lineno}: bad catalog record: {exc}") from exc
+        # json.loads accepts NaN and Infinity
+        if not (np.isfinite(record.amenities).all() and np.isfinite(record.geo).all()):
+            raise DataError(f"{path}:{lineno}: hotel {record.hotel_id!r}: "
+                            f"non-finite amenity or geo entry")
+        hotels.append(record)
     return HotelCatalog(hotels)
 
 

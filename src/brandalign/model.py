@@ -144,7 +144,12 @@ def _geo_cache(catalog: HotelCatalog) -> np.ndarray:
 
 
 def _softplus(x: float) -> float:
-    return float(np.logaddexp(0.0, x))
+    """ln(1 + e^x), by the same steps as np.logaddexp(0, x)."""
+    if x > 0:
+        return x + math.log1p(math.exp(-x))
+    if x < 0:
+        return math.log1p(math.exp(x))
+    return x + math.log(2.0)  # 0 or nan
 
 
 def _sigmoid(x: float) -> float:
@@ -173,22 +178,6 @@ def da_loss(base: float, v_target: np.ndarray, v_source: np.ndarray,
     raise ValueError(f"unknown variant {variant!r}")
 
 
-def _resolve_source_vector(target_id: str, source_space: EmbeddingSpace | None,
-                           mapping: BrandMapping | None):
-    """Source-brand counterpart of a target hotel, or None when unmapped."""
-    if mapping is not None:
-        src_id = mapping.to_source(target_id)
-        if src_id is None:
-            return None
-    else:
-        src_id = target_id
-    if source_space is None or src_id not in source_space.vectors:
-        raise ValueError(
-            f"hotel {target_id!r} is mapped but source space has no vector "
-            f"for {src_id!r}")
-    return source_space.vectors[src_id]
-
-
 class StepContext:
     """What the per-pair step reads besides the hotels: the parameters, the
     feature matrices, the config and the frozen source space.
@@ -209,11 +198,44 @@ class StepContext:
         params.w_a, params.w_g, params.w_e = self.views(self.flat)
         self.grad = np.empty_like(self.flat)  # overwritten by every step
         self.grad_views = self.views(self.grad)
-        self.amenities, self.geo = _amenity_cache(catalog), _geo_cache(catalog)
+        self.features = np.hstack([_amenity_cache(catalog), _geo_cache(catalog)])
+        self.a_dim = catalog.amenity_dim
         widths = [cfg.d_c, cfg.d_a, cfg.d_g]
         cuts = np.cumsum([0] + widths).tolist()
         self.blocks = [slice(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
         self.col_block = np.repeat([0, 1, 2], widths)
+        self.width = cfg.d_c if cfg.d_c == cfg.d_a == cfg.d_g else None
+        self.sources = {}  # catalog index -> source vector, once resolved
+        self.scratch = {}  # k -> buffers of a step over k distinct hotels
+
+    def source_vector(self, i: int):
+        """Source-brand vector of the hotel at catalog index i; None if unmapped."""
+        if i not in self.sources:
+            target_id, space = self.ids[i], self.source_space
+            src_id = target_id if self.mapping is None else self.mapping.to_source(target_id)
+            if src_id is not None and (space is None or src_id not in space.vectors):
+                raise ValueError(
+                    f"hotel {target_id!r} is mapped but source space has no vector "
+                    f"for {src_id!r}")
+            self.sources[i] = None if src_id is None else space.vectors[src_id]
+        return self.sources[i]
+
+    def buffers(self, k: int) -> tuple:
+        """y, sq, proj and dv of a step over k distinct hotels, reused."""
+        if k not in self.scratch:
+            self.scratch[k] = (np.empty((k, len(self.col_block))), np.empty((k, 3)),
+                               np.empty((k, 3)), np.empty((k, self.cfg.d)))
+        return self.scratch[k]
+
+    def block_dots(self, a: np.ndarray, b: np.ndarray, out: np.ndarray):
+        """out[i, j] = a[i, block j] . b[i, block j]. With equal widths one einsum
+        over (k, 3, width) views runs the per-block kernel on the same numbers."""
+        if self.width:
+            shape = (len(a), 3, self.width)
+            np.einsum("ijk,ijk->ij", a.reshape(shape), b.reshape(shape), out=out)
+        else:
+            for j, blk in enumerate(self.blocks):
+                np.einsum("ij,ij->i", a[:, blk], b[:, blk], out=out[:, j])
 
     def views(self, flat: np.ndarray) -> list[np.ndarray]:
         """W_a, W_g and W_e shaped views of a flat buffer."""
@@ -230,35 +252,32 @@ def gradients(ctx: StepContext, hotels: tuple[int, ...]):
     arrays: numpy's Python-level wrappers cost more than the work.
     """
     p, cfg, (bc, ba, bg) = ctx.params, ctx.cfg, ctx.blocks
-    rows, pos = [], []  # distinct hotels, and where each input sits
-    for h in hotels:
-        if h not in rows:
-            rows.append(h)
-        pos.append(rows.index(h))
-    k = len(rows)
+    rows = list(dict.fromkeys(hotels))  # the distinct hotels, in order
+    if len(rows) == len(hotels):  # always so at n_neg=1
+        t, c, neg = 0, 1, slice(2, None)
+    else:
+        t, c, *neg = [rows.index(h) for h in hotels]
     idx = np.array(rows)
-    a_in, g_in = ctx.amenities.take(idx, axis=0), ctx.geo.take(idx, axis=0)
-    y = np.empty((k, len(ctx.col_block)))
+    y, sq, proj, dv = ctx.buffers(len(rows))
+    x = ctx.features.take(idx, axis=0)
+    a_in, g_in = x[:, :ctx.a_dim], x[:, ctx.a_dim:]
     y[:, bc] = p.w_c.take(idx, axis=0)
     np.matmul(a_in, p.w_a, out=y[:, ba])
     np.matmul(g_in, p.w_g, out=y[:, bg])
-    sq = np.empty((k, 3))
-    for b, blk in enumerate(ctx.blocks):
-        np.einsum("ij,ij->i", y[:, blk], y[:, blk], out=sq[:, b])
+    ctx.block_dots(y, y, sq)
     norms = np.sqrt(sq)
-    inv = np.divide(1.0, norms, out=np.zeros((k, 3)),
+    inv = np.divide(1.0, norms, out=np.zeros(norms.shape),
                     where=norms >= EPS_NORM).take(ctx.col_block, axis=1)
     yhat = y * inv
     u = np.maximum(yhat, 0.0)
     z = u @ p.w_e
     v = np.maximum(z, 0.0)
 
-    t, c, neg = pos[0], pos[1], pos[2:]
     v_t = v[t]
     s_pos = float(v_t @ v[c])
     loss = _softplus(-s_pos)
     g_pos = -_sigmoid(-s_pos)
-    dv = np.zeros(v.shape)
+    dv.fill(0.0)
     dv_t = dv[t]
     dv_t += g_pos * v[c]
     dv[c] += g_pos * v_t
@@ -267,12 +286,14 @@ def gradients(ctx: StepContext, hotels: tuple[int, ...]):
     loss += float(np.add.reduce(np.logaddexp(0.0, s_neg)))
     g_neg = _expit(s_neg)
     dv_t += g_neg @ v_neg
-    np.add.at(dv, neg, g_neg[:, None] * v_t)
+    if type(neg) is slice:
+        dv[neg] += g_neg[:, None] * v_t
+    else:
+        np.add.at(dv, neg, g_neg[:, None] * v_t)
 
-    if cfg.lam > 0 and (v_src := _resolve_source_vector(
-            ctx.ids[hotels[0]], ctx.source_space, ctx.mapping)) is not None:
+    if cfg.lam > 0 and (v_src := ctx.source_vector(hotels[0])) is not None:
         diff = v_t - v_src
-        norm = float(np.linalg.norm(diff))
+        norm = math.sqrt(diff @ diff)
         if cfg.reg_variant == "norm":
             loss += cfg.lam * norm
             if norm >= EPS_NORM:
@@ -285,9 +306,7 @@ def gradients(ctx: StepContext, hotels: tuple[int, ...]):
     grad, (dw_a, dw_g, dw_e) = ctx.grad, ctx.grad_views
     np.matmul(u.T, dz, out=dw_e)
     masked = np.where(yhat > 0, dz @ p.w_e.T, 0.0)
-    proj = np.empty((k, 3))
-    for b, blk in enumerate(ctx.blocks):
-        np.einsum("ij,ij->i", yhat[:, blk], masked[:, blk], out=proj[:, b])
+    ctx.block_dots(yhat, masked, proj)
     dy = (masked - yhat * proj.take(ctx.col_block, axis=1)) * inv
     np.matmul(a_in.T, dy[:, ba], out=dw_a)
     np.matmul(g_in.T, dy[:, bg], out=dw_g)

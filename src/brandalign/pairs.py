@@ -15,6 +15,9 @@ class TrainingPair:
     negatives: tuple[str, ...]
 
 
+_WORDS_PER_DRAW = 1024  # sets when random_words refills, not which words come out
+
+
 class PairSkipped(Exception):
     """No eligible negatives exist for this (target, context) pair."""
 
@@ -38,22 +41,34 @@ def make_pairs(session: ClickSession, window: int) -> list[tuple[str, str]]:
     return out
 
 
-def sample_negatives(pool, target, context, n_neg: int,
-                     rng: np.random.Generator) -> list:
+def random_words(rng: np.random.Generator):
+    """rng's stream of 32-bit words, drawn _WORDS_PER_DRAW at a time: the words
+    that Generator.integers(0, m) consumes, in the same order, for m <= 2**32."""
+    while True:
+        yield from rng.integers(0, 1 << 32, size=_WORDS_PER_DRAW, dtype=np.uint64).tolist()
+
+
+def sample_negatives(pool, target, context, n_neg: int, words) -> list:
     """Draw n_neg members of pool (the target's market: hotel ids or catalog
     indices alike) uniformly with replacement, excluding the target and
     context themselves.
 
-    Raises PairSkipped when the eligible set is empty; the caller drops the pair.
+    A draw is pool[Generator.integers(0, m)], m = len(pool), by numpy's rule
+    (Lemire): the next word w of words (see random_words) gives w * m >> 32,
+    unless the low 32 bits of w * m are below 2**32 % m. Raises PairSkipped
+    when the eligible set is empty; the caller drops the pair.
     """
-    if len(pool) - 1 - (context != target and context in pool) <= 0:
+    m = len(pool)
+    # a pool of three distinct members keeps one whatever target and context are
+    if m < 3 and m - 1 - (context != target and context in pool) <= 0:
         raise PairSkipped("the target's market has no eligible negatives")
+    threshold = (1 << 32) % m
     # rejection sampling stays uniform over the eligible set
     out = []
     while len(out) < n_neg:
-        for i in rng.integers(0, len(pool), size=n_neg - len(out)).tolist():
-            if pool[i] != target and pool[i] != context:
-                out.append(pool[i])
+        w = next(words) * m
+        if w & 0xFFFFFFFF >= threshold and (h := pool[w >> 32]) not in (target, context):
+            out.append(h)
     return out
 
 
@@ -66,15 +81,15 @@ def build_epoch_stream(sessions: SessionSet, catalog: HotelCatalog,
     cannot receive negatives are skipped and counted into skip_counter[0].
     """
     index = catalog.index
-    pools = {m: [index[h] for h in catalog.market_list(m)] for m in catalog.markets}
+    pools = [[index[h] for h in catalog.market_list(m)] for m in catalog.markets]
+    pool_of = {i: pool for pool in pools for i in pool}  # catalog index -> pool
     order = substream(seed, "shuffle", epoch_index).permutation(len(sessions))
-    neg_rng = substream(seed, "negatives", epoch_index)
+    words = random_words(substream(seed, "negatives", epoch_index))
     for si in order:
         for target, context in make_pairs(sessions.sessions[si], window):
             t, c = index[target], index[context]
             try:
-                negs = sample_negatives(pools[catalog.market_of(target)], t, c,
-                                        n_neg, neg_rng)
+                negs = sample_negatives(pool_of[t], t, c, n_neg, words)
             except PairSkipped:
                 if skip_counter is not None:
                     skip_counter[0] += 1

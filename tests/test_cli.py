@@ -113,6 +113,21 @@ def test_train_missing_catalog_is_runtime_error(tmp_path, world_dir):
     assert rc == 1
 
 
+def test_train_rejects_nan_in_catalog(world_dir, tmp_path, capsys):
+    # before the check, training ended in "non-finite loss nan at step ..."
+    lines = (world_dir / "catalog.jsonl").read_text().splitlines()
+    lines[2] = lines[2].replace('"amenities": [', '"amenities": [NaN, ', 1)
+    catalog = tmp_path / "catalog.jsonl"
+    catalog.write_text("\n".join(lines) + "\n")
+    rc = main(["train", "--catalog", str(catalog),
+               "--sessions", str(world_dir / "sessions_A.jsonl"),
+               "--brand", "A", "--out", str(tmp_path / "x.emb")] + TRAIN_SMALL)
+    assert rc == 1
+    err = capsys.readouterr().err.strip()
+    assert err.startswith(f"error: {catalog}:3: hotel ") and "\n" not in err
+    assert "non-finite amenity or geo entry" in err
+
+
 def test_train_without_pairs_is_runtime_error(world_dir, tmp_path, capsys):
     # a single session lands in val under the default 8:1:1 split
     first = (world_dir / "sessions_A.jsonl").read_text().splitlines()[0]

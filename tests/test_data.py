@@ -55,6 +55,27 @@ def test_load_catalog_malformed_line_reports_line_number(tmp_path):
         load_catalog(path)
 
 
+@pytest.mark.parametrize("field,entry", [("amenities", "NaN"), ("geo", "NaN"),
+                                         ("geo", "-Infinity")])
+def test_load_catalog_rejects_non_finite_features(tmp_path, field, entry):
+    # json.loads accepts these literals, and every comparison with nan is false
+    path = tmp_path / "catalog.jsonl"
+    bad = json.dumps(_catalog_obj("h1")).replace(
+        f'"{field}": [0.', f'"{field}": [{entry}, 0.')
+    path.write_text(json.dumps(_catalog_obj("h0")) + "\n" + bad + "\n")
+    with pytest.raises(DataError, match=r"catalog.jsonl:2: hotel 'h1': non-finite"):
+        load_catalog(path)
+
+
+def test_catalog_range_checks_reject_nan():
+    nan_amenity = [HotelRecord("h0", "m0", np.array([np.nan, 0.0]), np.array([0.0, 0.0]))]
+    with pytest.raises(DataError, match="amenity"):
+        HotelCatalog(nan_amenity)
+    nan_geo = [HotelRecord("h0", "m0", np.array([0.5, 0.0]), np.array([np.nan, 0.0]))]
+    with pytest.raises(DataError, match="geo"):
+        HotelCatalog(nan_geo)
+
+
 def test_catalog_rejects_inconsistent_feature_lengths():
     hotels = [
         HotelRecord("h0", "m0", np.array([0.1, 0.2]), np.array([0.0, 0.0])),

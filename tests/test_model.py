@@ -348,6 +348,7 @@ def test_train_without_pairs_is_an_error():
 
 # The integer-indexed trainer must reproduce the string-keyed per-pair loop
 # in tests/oracles.py bit for bit: same pairs, same negatives, same floats.
+REFERENCE_DIMS = dict(d_c=16, d_a=16, d_g=16, d=32)
 REFERENCE_CASES = {
     "sgd": dict(),
     "sgd_l2": dict(l2_weight=1e-3),
@@ -357,6 +358,15 @@ REFERENCE_CASES = {
     "adam_l2_duplicate_negatives": dict(optimizer="adam", learning_rate=0.01,
                                         n_neg=3, l2_weight=1e-3),
     "duplicate_negatives": dict(n_neg=3),
+    # repro's sizes, where BLAS runs other kernels than at 4/3/2/8 and the
+    # equal widths take the one-einsum path of StepContext.block_dots
+    "reference_dims_squared_norm_partial_mapping": dict(
+        **REFERENCE_DIMS, lam=1.0, reg_variant="squared_norm", l2_weight=1e-6),
+    "reference_dims_duplicate_negatives": dict(**REFERENCE_DIMS, n_neg=5),
+    "reference_dims_norm_l2_partial_mapping": dict(
+        **REFERENCE_DIMS, lam=1.0, reg_variant="norm", l2_weight=1e-3),
+    "reference_dims_adam_l2_duplicate_negatives": dict(
+        **REFERENCE_DIMS, optimizer="adam", learning_rate=0.01, n_neg=3, l2_weight=1e-3),
 }
 
 
@@ -364,8 +374,8 @@ REFERENCE_CASES = {
 def test_train_matches_reference_loop_bit_for_bit(case):
     world, sessions = _tiny_world()
     catalog = world.catalog
-    cfg = tiny_config(d_c=4, d_a=3, d_g=2, d=8, epochs=3, seed=5,
-                      **REFERENCE_CASES[case])
+    cfg = tiny_config(**{"d_c": 4, "d_a": 3, "d_g": 2, "d": 8, "epochs": 3,
+                         "seed": 5, **REFERENCE_CASES[case]})
     source = mapping = None
     if cfg.lam > 0:
         rng = np.random.default_rng(9)

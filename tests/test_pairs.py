@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from brandalign.data import ClickSession, SessionSet
-from brandalign.pairs import (PairSkipped, build_epoch_stream, make_pairs,
-                              sample_negatives)
+from brandalign.pairs import (_WORDS_PER_DRAW, PairSkipped, build_epoch_stream,
+                              make_pairs, random_words, sample_negatives)
 from brandalign.rng import substream
 from conftest import make_catalog, make_sessions
 
@@ -70,8 +70,36 @@ def test_make_pairs_symmetry(length, window):
 # ---------------------------------------------------------------------------
 # sample_negatives
 
+BOUNDS = [2, 3, 150, 200, 2**31 + 1, 2**32 - 1]
+
+
+@given(seed=st.integers(0, 2**64 - 1), lead=st.integers(-60, 60),
+       bounds=st.lists(st.sampled_from(BOUNDS), min_size=1, max_size=60))
+@settings(max_examples=300, deadline=None)
+def test_negative_draws_equal_generator_integers(seed, lead, bounds):
+    # with nothing to exclude each negative is one call of integers; the lead
+    # (one word per draw at m = 2) puts the buffer refill within or near the
+    # run of mixed bounds, also within a run of rejected words (about half of
+    # them are rejected at m = 2**31 + 1)
+    lead += _WORDS_PER_DRAW - 30
+    words = random_words(np.random.default_rng(seed))
+    rng = np.random.default_rng(seed)
+    assert sample_negatives(range(2), -1, -1, lead, words) == \
+        rng.integers(0, 2, size=lead).tolist()
+    got = [sample_negatives(range(m), -1, -1, 1, words)[0] for m in bounds]
+    assert got == [int(rng.integers(0, m)) for m in bounds]
+
+
+@pytest.mark.parametrize("m", BOUNDS)
+def test_negative_draws_match_one_bulk_integers_call(m):
+    # 3,000 draws span at least two refills of the word buffer
+    words = random_words(substream(5, "negatives", 1))
+    want = substream(5, "negatives", 1).integers(0, m, size=3000).tolist()
+    assert sample_negatives(range(m), -1, -1, 3000, words) == want
+
+
 def test_negatives_respect_exclusions(catalog4):
-    rng = substream(0, "negatives", 0)
+    rng = random_words(substream(0, "negatives", 0))
     for _ in range(20):
         negs = sample_negatives(_pool(catalog4, "A"), "A", "B", 2, rng)
         assert len(negs) == 2
@@ -80,14 +108,14 @@ def test_negatives_respect_exclusions(catalog4):
 
 def test_negatives_empty_eligible_set_skips():
     catalog = make_catalog({"m0": ["A", "B"]})
-    rng = substream(0, "negatives", 0)
+    rng = random_words(substream(0, "negatives", 0))
     with pytest.raises(PairSkipped):
         sample_negatives(_pool(catalog, "A"), "A", "B", 1, rng)
 
 
 def test_negatives_deterministic_under_seed(catalog4):
     def draw():
-        rng = substream(9, "negatives", 0)
+        rng = random_words(substream(9, "negatives", 0))
         return [sample_negatives(_pool(catalog4, "A"), "A", "B", 3, rng)
                 for _ in range(5)]
     assert draw() == draw()
@@ -96,12 +124,12 @@ def test_negatives_deterministic_under_seed(catalog4):
 def test_negatives_sample_with_replacement():
     # eligible set of size 1: every draw must be the single eligible hotel
     catalog = make_catalog({"m0": ["A", "B", "C"]})
-    rng = substream(0, "negatives", 0)
+    rng = random_words(substream(0, "negatives", 0))
     assert sample_negatives(_pool(catalog, "A"), "A", "B", 4, rng) == ["C", "C", "C", "C"]
 
 
 def test_negatives_share_target_market(catalog6):
-    rng = substream(3, "negatives", 0)
+    rng = random_words(substream(3, "negatives", 0))
     for target, context in [("h0", "h1"), ("h4", "h5")]:
         negs = sample_negatives(_pool(catalog6, target), target, context, 5, rng)
         market = catalog6.market_of(target)
