@@ -11,8 +11,8 @@ from .data import (BrandMapping, ClickSession, HotelCatalog, HotelRecord,
                    split_sessions)
 from .model import (EmbeddingSpace, ModelParams, TrainConfig, da_loss,
                     enriched_embedding, export_embeddings, feature_embed,
-                    gradients, pair_gradients, read_embeddings, sgns_loss,
-                    train, write_embeddings)
+                    gradients, read_embeddings, sgns_loss, train,
+                    write_embeddings)
 from .align import (ProjectionMatrix, apply_projection, common_rows,
                     fit_linear_projection, fit_procrustes)
 from .evaluate import (MetricsReport, PredictionEvent, cross_brand_evaluate,

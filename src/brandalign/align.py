@@ -9,7 +9,6 @@ never model parameters.
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .data import BrandMapping, DataError, check_finite, parse_numbers
 from .model import EmbeddingSpace
@@ -51,7 +50,11 @@ def fit_linear_projection(s: np.ndarray, t: np.ndarray) -> ProjectionMatrix:
     minimum-Frobenius-norm solution when S is rank deficient."""
     if s.shape[0] < 1 or s.shape[0] != t.shape[0]:
         raise ValueError("S and T must have the same positive row count")
-    w, _, _, _ = scipy.linalg.lstsq(s, t, lapack_driver="gelsd")
+    # LAPACK gelsd with scipy.linalg.lstsq's default cutoff. W is kept in
+    # Fortran order, as scipy returned it: the order picks the BLAS kernel of
+    # every v @ W in apply_projection, and with it the last bits.
+    w, _, _, _ = np.linalg.lstsq(s, t, rcond=np.finfo(float).eps)
+    w = np.asfortranarray(w)
     residual = float(np.linalg.norm(s @ w - t, "fro"))
     return ProjectionMatrix(w=w, kind="least_squares", fit_residual=residual)
 

@@ -46,8 +46,39 @@ class HotelRecord:
     geo: np.ndarray        # entries in [-1, 1]
 
 
+def _record_problem(h: HotelRecord, first: HotelRecord) -> str | None:
+    """What is wrong with h's features, whose lengths must be the first
+    hotel's; None when nothing is."""
+    # json.loads accepts NaN and Infinity
+    if not (np.isfinite(h.amenities).all() and np.isfinite(h.geo).all()):
+        return "non-finite amenity or geo entry"
+    for name, values, model in (("amenity", h.amenities, first.amenities),
+                                ("geo", h.geo, first.geo)):
+        if np.ndim(values) != 1:
+            length = "" if h is first else f"{len(model)} "
+            return (f"{name} entries must be a flat list of {length}numbers, "
+                    f"got shape {np.shape(values)}")
+        if len(values) != len(model):
+            return (f"{name} length {len(values)} != {len(model)} of hotel "
+                    f"{first.hotel_id!r}")
+    if not np.all((h.amenities >= 0) & (h.amenities <= 1)):
+        return "amenity entries outside [0,1]"
+    if not np.all((h.geo >= -1) & (h.geo <= 1)):
+        return "geo entries outside [-1,1]"
+    return None
+
+
+class CatalogError(DataError):
+    """A bad hotel record; row is its position in the catalog's input."""
+
+    def __init__(self, row: int, message: str):
+        super().__init__(message)
+        self.row = row
+
+
 class HotelCatalog:
-    """Immutable-after-construction hotel universe with market grouping."""
+    """Immutable-after-construction hotel universe with market grouping;
+    features has one row per hotel: its amenities, then its geo."""
 
     def __init__(self, hotels: list[HotelRecord]):
         if not hotels:
@@ -55,29 +86,23 @@ class HotelCatalog:
         self.hotels = list(hotels)
         self._by_id: dict[str, HotelRecord] = {}
         self.markets: dict[str, set[str]] = {}
-        a_len = len(self.hotels[0].amenities)
-        g_len = len(self.hotels[0].geo)
-        for h in self.hotels:
+        first = self.hotels[0]
+        for row, h in enumerate(self.hotels):
             if h.hotel_id in self._by_id:
-                raise DataError(f"duplicate hotel_id {h.hotel_id!r}")
-            if len(h.amenities) != a_len:
-                raise DataError(
-                    f"hotel {h.hotel_id!r}: amenity length {len(h.amenities)} != {a_len}")
-            if len(h.geo) != g_len:
-                raise DataError(
-                    f"hotel {h.hotel_id!r}: geo length {len(h.geo)} != {g_len}")
-            # written so that nan fails them too
-            if not np.all((h.amenities >= 0) & (h.amenities <= 1)):
-                raise DataError(f"hotel {h.hotel_id!r}: amenity entries outside [0,1]")
-            if not np.all((h.geo >= -1) & (h.geo <= 1)):
-                raise DataError(f"hotel {h.hotel_id!r}: geo entries outside [-1,1]")
+                raise CatalogError(row, f"duplicate hotel_id {h.hotel_id!r}")
+            problem = _record_problem(h, first)
+            if problem:
+                raise CatalogError(row, f"hotel {h.hotel_id!r}: {problem}")
             self._by_id[h.hotel_id] = h
             self.markets.setdefault(h.market_id, set()).add(h.hotel_id)
-        self.amenity_dim = a_len
-        self.geo_dim = g_len
+        self.amenity_dim = len(first.amenities)
+        self.geo_dim = len(first.geo)
+        self.features = np.hstack([np.stack([h.amenities for h in self.hotels]),
+                                   np.stack([h.geo for h in self.hotels])])
         # stable id order for vectorized consumers
         self.hotel_ids = [h.hotel_id for h in self.hotels]
         self.index = {hid: i for i, hid in enumerate(self.hotel_ids)}
+        self._market_lists: dict[str, tuple[str, ...]] = {}
 
     def __len__(self) -> int:
         return len(self.hotels)
@@ -99,21 +124,9 @@ class HotelCatalog:
 
     def market_list(self, market_id: str) -> tuple[str, ...]:
         """Members of a market in ascending id order (cached)."""
-        try:
-            return self._market_lists[market_id]
-        except AttributeError:
-            self._market_lists = {}
-        except KeyError:
-            pass
-        result = tuple(sorted(self.markets[market_id]))
-        self._market_lists[market_id] = result
-        return result
-
-    def amenity_matrix(self) -> np.ndarray:
-        return np.stack([h.amenities for h in self.hotels])
-
-    def geo_matrix(self) -> np.ndarray:
-        return np.stack([h.geo for h in self.hotels])
+        if market_id not in self._market_lists:
+            self._market_lists[market_id] = tuple(sorted(self.markets[market_id]))
+        return self._market_lists[market_id]
 
 
 @dataclass(frozen=True)
@@ -174,7 +187,7 @@ def _parse_lines(path):
 
 
 def load_catalog(path) -> HotelCatalog:
-    hotels = []
+    hotels, linenos = [], []
     for lineno, obj in _parse_lines(path):
         try:
             record = HotelRecord(
@@ -183,20 +196,23 @@ def load_catalog(path) -> HotelCatalog:
                 amenities=np.asarray(obj["amenities"], dtype=float),
                 geo=np.asarray(obj["geo"], dtype=float),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise DataError(f"{path}:{lineno}: bad catalog record: {exc}") from exc
-        # json.loads accepts NaN and Infinity
-        if not (np.isfinite(record.amenities).all() and np.isfinite(record.geo).all()):
-            raise DataError(f"{path}:{lineno}: hotel {record.hotel_id!r}: "
-                            f"non-finite amenity or geo entry")
         hotels.append(record)
-    return HotelCatalog(hotels)
+        linenos.append(lineno)
+    try:
+        return HotelCatalog(hotels)
+    except CatalogError as exc:
+        raise DataError(f"{path}:{linenos[exc.row]}: {exc}") from None
 
 
 def load_sessions(path, catalog: HotelCatalog, brand: str) -> SessionSet:
     sessions = []
     for lineno, obj in _parse_lines(path):
         try:
+            if not isinstance(obj["clicks"], list):
+                raise TypeError(f"clicks must be a list of hotel ids, got "
+                                f"{type(obj['clicks']).__name__}")
             session = ClickSession(
                 session_id=str(obj["session_id"]),
                 brand=str(obj["brand"]),

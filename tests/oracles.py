@@ -2,22 +2,27 @@
 
 Everything here is written straight-line from the definitions, on purpose
 duplicating none of the library's code paths: a second forward pass for the
-enriched embedding, a finite-difference gradient checker, a brute-force
-ranking-metric calculator, the per-event ranking loop the blocked ranker
-must reproduce exactly, and the string-keyed per-pair training loop the
-integer-indexed trainer must reproduce bit for bit.
+enriched embedding, the per-hotel export the batched one must reproduce bit
+for bit, a finite-difference gradient checker, a brute-force ranking-metric
+calculator, the per-event ranking loop the blocked ranker must reproduce
+exactly, and the string-keyed per-pair training loop the integer-indexed
+trainer must reproduce bit for bit.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 from scipy.special import expit as _expit
 
 from brandalign.data import HotelCatalog
-from brandalign.model import (EmbeddingSpace, ModelParams, TrainConfig,
-                              TrainingDiverged, init_params)
+from brandalign.model import (EmbeddingSpace, ModelParams, StepContext,
+                              TrainConfig, TrainingDiverged, gradients,
+                              init_params)
 from brandalign.pairs import PairSkipped, TrainingPair
 from brandalign.rng import substream
+
+EPS_NORM = 1e-12
 
 
 def straight_line_embedding(hotel_id: str, params: ModelParams,
@@ -37,6 +42,25 @@ def straight_line_embedding(hotel_id: str, params: ModelParams,
     v_g = norm_relu(np.asarray(record.geo) @ params.w_g)
     z = np.concatenate([v_c, v_a, v_g]) @ params.w_e
     return np.array([max(c, 0.0) for c in z])
+
+
+def per_hotel_export(params: ModelParams, catalog: HotelCatalog) -> dict:
+    """{hotel id: enriched embedding}, one hotel at a time with 1-D norms,
+    divisions and products, as the package exported before its batched
+    forward."""
+    def norm_relu(y):
+        norm = np.linalg.norm(y)
+        if norm < EPS_NORM:
+            return np.zeros_like(y)
+        return np.maximum(y / norm, 0.0)
+
+    vectors = {}
+    for i, record in enumerate(catalog.hotels):
+        u = np.concatenate([norm_relu(params.w_c[i]),
+                            norm_relu(record.amenities @ params.w_a),
+                            norm_relu(record.geo @ params.w_g)])
+        vectors[record.hotel_id] = np.maximum(u @ params.w_e, 0.0)
+    return vectors
 
 
 def pair_loss(pair: TrainingPair, params: ModelParams, catalog: HotelCatalog,
@@ -75,14 +99,14 @@ def finite_difference_max_rel_err(pair, params, catalog, cfg,
     Returns the max relative error over coordinates where the combined
     magnitude exceeds 1e-8, per the gradient-correctness contract.
     """
-    from brandalign.model import pair_gradients
-
-    grads, loss = pair_gradients(pair, params, catalog, cfg, source_space, mapping)
-    analytic = {("w_a",): grads.w_a, ("w_g",): grads.w_g, ("w_e",): grads.w_e}
+    ctx = StepContext(replace(params), catalog, cfg, source_space, mapping)
+    _, idx, dy_c, _ = gradients(ctx, tuple(
+        catalog.index[h] for h in (pair.target, pair.context, *pair.negatives)))
+    dw_a, dw_g, dw_e = ctx.grad_views
     dense_wc = np.zeros_like(params.w_c)
-    for idx, row in grads.w_c_rows.items():
-        dense_wc[idx] = row
-    analytic[("w_c",)] = dense_wc
+    dense_wc[idx] = dy_c
+    analytic = {("w_a",): dw_a, ("w_g",): dw_g, ("w_e",): dw_e,
+                ("w_c",): dense_wc}
 
     max_err = 0.0
     for (name,), a_grad in analytic.items():
@@ -214,8 +238,6 @@ def reference_event_ranks(events, catalog, get, dim, mode,
 # reference trainer: one TrainingPair of hotel ids per step, a gradient object
 # per pair and a dict of touched W_c rows, exactly as the package trained
 # before its integer-indexed step. train() must match it bit for bit.
-
-EPS_NORM = 1e-12
 
 
 def _make_pairs(session, window):
@@ -426,7 +448,8 @@ def reference_train(train_sessions, catalog, cfg, source_space=None,
     the package's train()."""
     params = init_params(catalog, cfg,
                          lambda label: substream(cfg.seed, "init", label))
-    amenities, geo = catalog.amenity_matrix(), catalog.geo_matrix()
+    amenities = np.stack([h.amenities for h in catalog.hotels])
+    geo = np.stack([h.geo for h in catalog.hotels])
     adam = _ReferenceAdam(params, cfg) if cfg.optimizer == "adam" else None
     epoch_losses = []
     step = 0

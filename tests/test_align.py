@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from brandalign.align import (ProjectionMatrix, apply_projection, common_rows,
                               fit_linear_projection, fit_procrustes,
@@ -74,6 +75,24 @@ def test_lstsq_recovers_planted_matrix_50_instances():
         assert np.max(np.abs(proj.w - w)) < 1e-6, f"seed {seed}"
         assert proj.fit_residual < 1e-6
         assert proj.kind == "least_squares"
+
+
+def test_lstsq_matches_scipy_gelsd_bit_for_bit():
+    # the fit used scipy.linalg.lstsq(..., lapack_driver="gelsd"); the same
+    # solution, in the same memory order, must project to the same bits
+    rng = np.random.default_rng(5)
+    for case in range(20):
+        s = np.maximum(rng.normal(size=(240, 32)), 0.0)
+        if case % 4 == 0:
+            s[:, 5:9] = 0.0  # rank deficient: all-zero columns
+        if case % 4 == 1:
+            s[:, 7] = s[:, 3]  # rank deficient: a repeated column
+        t = np.maximum(rng.normal(size=(240, 32)), 0.0)
+        want, _, _, _ = scipy.linalg.lstsq(s, t, lapack_driver="gelsd")
+        got = fit_linear_projection(s, t).w
+        assert np.array_equal(got, want)
+        for v in s[:20]:
+            assert np.array_equal(v @ got, v @ want)
 
 
 def test_procrustes_recovers_planted_orthogonal_50_instances():

@@ -1,13 +1,28 @@
 """End-to-end CLI tests; everything runs in-process through main()."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import brandalign
 from brandalign.align import read_projection
 from brandalign.cli import main
 from brandalign.model import read_embeddings
+
+
+def test_package_imports_without_scipy():
+    # the runtime needs numpy only; scipy is a test dependency
+    env = dict(os.environ, PYTHONPATH=str(Path(brandalign.__file__).parents[1]))
+    code = ("import sys, brandalign, brandalign.cli; "
+            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 @pytest.fixture(scope="module")
@@ -126,6 +141,23 @@ def test_train_rejects_nan_in_catalog(world_dir, tmp_path, capsys):
     err = capsys.readouterr().err.strip()
     assert err.startswith(f"error: {catalog}:3: hotel ") and "\n" not in err
     assert "non-finite amenity or geo entry" in err
+
+
+def test_train_rejects_scalar_amenities_in_catalog(world_dir, tmp_path, capsys):
+    # before the shape check, this ended in a TypeError traceback
+    lines = (world_dir / "catalog.jsonl").read_text().splitlines()
+    record = json.loads(lines[2])
+    record["amenities"] = 5
+    lines[2] = json.dumps(record)
+    catalog = tmp_path / "catalog.jsonl"
+    catalog.write_text("\n".join(lines) + "\n")
+    rc = main(["train", "--catalog", str(catalog),
+               "--sessions", str(world_dir / "sessions_A.jsonl"),
+               "--brand", "A", "--out", str(tmp_path / "x.emb")] + TRAIN_SMALL)
+    assert rc == 1
+    err = capsys.readouterr().err.strip()
+    assert err.startswith(f"error: {catalog}:3: hotel ") and "\n" not in err
+    assert "amenity entries must be a flat list of 8 numbers" in err
 
 
 def test_train_without_pairs_is_runtime_error(world_dir, tmp_path, capsys):

@@ -67,6 +67,45 @@ def test_load_catalog_rejects_non_finite_features(tmp_path, field, entry):
         load_catalog(path)
 
 
+@pytest.mark.parametrize("line,field,value,error", [
+    (2, "amenities", 5, "2: hotel 'h1': amenity entries must be a flat list of "
+                        "2 numbers, got shape ()"),
+    (2, "amenities", [[0.5, 0.5]], "2: hotel 'h1': amenity entries must be a "
+                                   "flat list of 2 numbers, got shape (1, 2)"),
+    (2, "geo", [0.0], "2: hotel 'h1': geo length 1 != 2 of hotel 'h0'"),
+    (1, "geo", True, "1: hotel 'h0': geo entries must be a flat list of "
+                     "numbers, got shape ()"),
+    # a short list on line 1 is found on line 2, which names line 1's hotel
+    (1, "geo", [0.0], "2: hotel 'h1': geo length 2 != 1 of hotel 'h0'"),
+    (1, "amenities", [10 ** 400], "1: bad catalog record"),
+])
+def test_load_catalog_rejects_bad_feature_shapes(tmp_path, line, field, value,
+                                                 error):
+    records = [_catalog_obj("h0"), _catalog_obj("h1")]
+    records[line - 1][field] = value
+    path = tmp_path / "catalog.jsonl"
+    _write_lines(path, records)
+    with pytest.raises(DataError) as info:
+        load_catalog(path)
+    assert str(info.value).startswith(f"{path}:{error}")
+
+
+def test_load_catalog_names_the_line_of_a_duplicate_or_out_of_range_hotel(tmp_path):
+    path = tmp_path / "catalog.jsonl"
+    _write_lines(path, [_catalog_obj("h0"), _catalog_obj("h1"), _catalog_obj("h0")])
+    with pytest.raises(DataError, match=r"catalog.jsonl:3: duplicate hotel_id 'h0'"):
+        load_catalog(path)
+    _write_lines(path, [_catalog_obj("h0"), _catalog_obj("h1", geo=(0.0, 3.0))])
+    with pytest.raises(DataError, match=r"catalog.jsonl:2: hotel 'h1': geo entries"):
+        load_catalog(path)
+
+
+def test_catalog_features_are_amenities_then_geo(catalog6):
+    for i, h in enumerate(catalog6.hotels):
+        assert np.array_equal(catalog6.features[i], np.concatenate([h.amenities, h.geo]))
+    assert catalog6.features.shape == (6, catalog6.amenity_dim + catalog6.geo_dim)
+
+
 def test_catalog_range_checks_reject_nan():
     nan_amenity = [HotelRecord("h0", "m0", np.array([np.nan, 0.0]), np.array([0.0, 0.0]))]
     with pytest.raises(DataError, match="amenity"):
@@ -129,6 +168,18 @@ def test_load_sessions_empty_clicks_error(tmp_path, catalog6):
     path = tmp_path / "sessions.jsonl"
     _write_lines(path, [_session_obj("s0", [])])
     with pytest.raises(DataError, match="no clicks"):
+        load_sessions(path, catalog6, "A")
+
+
+@pytest.mark.parametrize("clicks", ["h0", 5, {"h0": 1}, None])
+def test_load_sessions_clicks_must_be_a_list(tmp_path, catalog6, clicks):
+    # a string used to be read as its characters: "unknown hotel 'h'"
+    path = tmp_path / "sessions.jsonl"
+    obj = _session_obj("s0", [])
+    obj["clicks"] = clicks
+    _write_lines(path, [_session_obj("s1", ["h0", "h1"]), obj])
+    with pytest.raises(DataError, match=r"sessions.jsonl:2: bad session record: "
+                                        r"clicks must be a list"):
         load_sessions(path, catalog6, "A")
 
 

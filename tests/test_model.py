@@ -4,18 +4,19 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from brandalign import synth
+from brandalign import repro, synth
 from brandalign.data import BrandMapping, DataError
-from brandalign.model import (EmbeddingSpace, ModelParams, TrainConfig,
-                              TrainingDiverged, da_loss, enriched_embedding,
-                              export_embeddings, feature_embed, pair_gradients,
-                              init_params, read_embeddings, sgns_loss, train,
+from brandalign.model import (EmbeddingSpace, ModelParams, StepContext,
+                              TrainConfig, TrainingDiverged, da_loss,
+                              enriched_embedding, export_embeddings,
+                              feature_embed, gradients, init_params,
+                              read_embeddings, sgns_loss, train,
                               write_embeddings)
 from brandalign.pairs import TrainingPair
 from brandalign.rng import substream
 from conftest import make_catalog, make_sessions
-from oracles import (finite_difference_max_rel_err, reference_train,
-                     straight_line_embedding)
+from oracles import (finite_difference_max_rel_err, per_hotel_export,
+                     reference_train, straight_line_embedding)
 
 FD_TOL = 1e-4
 
@@ -219,13 +220,17 @@ def test_gradients_match_finite_differences_partial_mapping():
     assert err < FD_TOL
 
 
+def _hotels(pair, catalog):
+    return tuple(catalog.index[h] for h in (pair.target, pair.context,
+                                            *pair.negatives))
+
+
 def test_gradients_untouched_rows_are_absent():
     cfg = tiny_config(n_neg=1, lam=0.0, l2_weight=0.0)
     catalog, params, pair, _ = random_instance(4, cfg)
-    grads, _ = pair_gradients(pair, params, catalog, cfg)
-    touched = {catalog.index[h] for h in (pair.target, pair.context,
-                                          *pair.negatives)}
-    assert set(grads.w_c_rows) == touched
+    hotels = _hotels(pair, catalog)
+    _, idx, _, _ = gradients(StepContext(replace(params), catalog, cfg), hotels)
+    assert set(idx.tolist()) == set(hotels)
 
 
 def test_gradients_missing_source_vector_is_an_error():
@@ -233,7 +238,8 @@ def test_gradients_missing_source_vector_is_an_error():
     catalog, params, pair, source = random_instance(5, cfg)
     del source.vectors[pair.target]
     with pytest.raises(ValueError, match="source space has no vector"):
-        pair_gradients(pair, params, catalog, cfg, source, None)
+        gradients(StepContext(replace(params), catalog, cfg, source, None),
+                  _hotels(pair, catalog))
 
 
 def test_gradients_regularizer_skipped_for_unmapped_hotel():
@@ -241,10 +247,25 @@ def test_gradients_regularizer_skipped_for_unmapped_hotel():
     catalog, params, pair, source = random_instance(6, cfg)
     plain_cfg = tiny_config(lam=0.0)
     empty = BrandMapping({})
-    g_reg, loss_reg = pair_gradients(pair, params, catalog, cfg, source, empty)
-    g_plain, loss_plain = pair_gradients(pair, params, catalog, plain_cfg)
+    reg = StepContext(replace(params), catalog, cfg, source, empty)
+    plain = StepContext(replace(params), catalog, plain_cfg)
+    loss_reg, _, _, grad_reg = gradients(reg, _hotels(pair, catalog))
+    loss_plain, _, _, grad_plain = gradients(plain, _hotels(pair, catalog))
     assert loss_reg == loss_plain
-    assert np.array_equal(g_reg.w_e, g_plain.w_e)
+    assert np.array_equal(grad_reg, grad_plain)
+
+
+def test_expit_matches_scipy_bit_for_bit():
+    # g_neg used scipy.special.expit; the overflow band near -709 included
+    from scipy.special import expit
+
+    from brandalign.model import _expit
+    rng = np.random.default_rng(0)
+    xs = np.concatenate([rng.normal(0, 10, 20_000), np.linspace(-746, -700, 4_601),
+                         np.linspace(-40, 40, 8_001),
+                         [0.0, -0.0, 710.0, 1e308, -1e308, np.inf, -np.inf]])
+    got = np.array([_expit(x) for x in xs.tolist()])
+    assert np.array_equal(got, expit(xs))
 
 
 # ---------------------------------------------------------------------------
@@ -439,11 +460,28 @@ def test_export_covers_catalog_and_matches_forward():
         assert np.array_equal(space.vectors[hid], again.vectors[hid])
 
 
+def test_export_matches_per_hotel_oracle_bit_for_bit():
+    # the quick reference world (300 hotels) and the reference dimensions,
+    # trained briefly on a few of its sessions
+    wcfg = replace(repro.reference_world_config(seed=3, quick=True),
+                   n_sessions_per_brand=300)
+    world = synth.generate_world(wcfg)
+    sessions = synth.generate_sessions(world, "A", wcfg)
+    assert len(world.catalog) >= 300
+    params = train(sessions, world.catalog,
+                   replace(repro.reference_train_config(3, quick=True), epochs=1))
+    space = export_embeddings(params, world.catalog)
+    want = per_hotel_export(params, world.catalog)
+    assert list(space.vectors) == list(want)
+    for hid, vec in want.items():
+        assert np.array_equal(space.vectors[hid], vec), hid
+
+
 def test_exported_embeddings_are_nonnegative_so_cosines_are_too():
     world, sessions = _tiny_world()
     params = train(sessions, world.catalog, tiny_config(epochs=1))
     space = export_embeddings(params, world.catalog)
-    mat = space.matrix(world.catalog.hotel_ids)
+    mat = np.stack([space.vectors[h] for h in world.catalog.hotel_ids])
     assert np.all(mat >= 0)
     assert np.all(mat @ mat.T >= 0)  # all pairwise dots (hence cosines) >= 0
 
