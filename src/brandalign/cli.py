@@ -8,6 +8,7 @@ import argparse
 import json
 import os
 import sys
+import warnings
 
 from . import align as align_mod
 from . import model, repro, synth
@@ -109,6 +110,9 @@ def cmd_train(args) -> int:
     source_space = mapping = None
     if cfg.lam > 0:
         source_space = model.read_embeddings(args.source_embeddings)
+        if source_space.dim != cfg.d:
+            raise DataError(f"{args.source_embeddings}: source embedding dim "
+                            f"{source_space.dim} != --dim {cfg.d}")
         mapping = load_mapping(args.mapping)
 
     curve_rows = []
@@ -275,6 +279,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    saved = warnings.formatwarning  # a warning is one stderr line, like an error
+    warnings.formatwarning = lambda message, *_: f"warning: {message}\n"
     try:
         return args.func(args)
     except UsageError as exc:
@@ -283,6 +289,8 @@ def main(argv=None) -> int:
     except (DataError, ValueError, OSError, model.TrainingDiverged) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        warnings.formatwarning = saved
 
 
 if __name__ == "__main__":

@@ -207,7 +207,7 @@ def load_catalog(path) -> HotelCatalog:
 
 
 def load_sessions(path, catalog: HotelCatalog, brand: str) -> SessionSet:
-    sessions = []
+    sessions, outside = [], []  # clicks outside their session's market
     for lineno, obj in _parse_lines(path):
         try:
             if not isinstance(obj["clicks"], list):
@@ -229,7 +229,7 @@ def load_sessions(path, catalog: HotelCatalog, brand: str) -> SessionSet:
                     f"{path}:{lineno}: session {session.session_id!r} references "
                     f"unknown hotel {c!r}")
             if catalog.market_of(c) != session.market_id:
-                warnings.warn(
+                outside.append(
                     f"{path}:{lineno}: session {session.session_id!r} click {c!r} "
                     f"is outside market {session.market_id!r}")
         if session.brand != brand:
@@ -237,12 +237,15 @@ def load_sessions(path, catalog: HotelCatalog, brand: str) -> SessionSet:
                 f"{path}:{lineno}: session {session.session_id!r} has brand "
                 f"{session.brand!r}, expected {brand!r}")
         sessions.append(session)
+    if outside:
+        warnings.warn(f"{outside[0]} ({len(outside)} click(s) in this file are "
+                      f"outside their session's market)")
     return SessionSet(brand=brand, sessions=sessions)
 
 
 def load_mapping(path, source_catalog: HotelCatalog | None = None,
                  target_catalog: HotelCatalog | None = None) -> BrandMapping:
-    pairs = {}
+    pairs, targets = {}, {}  # target -> its line
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
@@ -258,6 +261,9 @@ def load_mapping(path, source_catalog: HotelCatalog | None = None,
                 raise DataError(f"{path}:{lineno}: unknown source hotel {src!r}")
             if target_catalog is not None and tgt not in target_catalog:
                 raise DataError(f"{path}:{lineno}: unknown target hotel {tgt!r}")
+            if targets.setdefault(tgt, lineno) != lineno:
+                raise DataError(f"{path}:{lineno}: mapping not injective: target "
+                                f"{tgt!r} repeated from line {targets[tgt]}")
             pairs[src] = tgt
     return BrandMapping(pairs)
 

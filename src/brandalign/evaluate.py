@@ -38,13 +38,14 @@ class MetricsReport:
 
 
 def make_events(sessions: SessionSet, catalog: HotelCatalog) -> list[PredictionEvent]:
+    market_of = {h.hotel_id: h.market_id for h in catalog.hotels}
     events = []
     for s in sessions.sessions:
         for a, b in zip(s.clicks, s.clicks[1:]):
             if a == b:
                 continue  # degenerate repeat, the truth must differ from the query
-            events.append(PredictionEvent(query=a, truth=b,
-                                          market_id=catalog.market_of(a)))
+            # an unknown hotel falls through to the catalog's own error
+            events.append(PredictionEvent(a, b, market_of.get(a) or catalog.market_of(a)))
     return events
 
 
@@ -117,36 +118,42 @@ class _MarketCache:
         self.present = np.array([v is not None for v in vecs])
         self.matrix = np.stack([np.zeros(dim) if v is None else v for v in vecs])
         self.norms = np.linalg.norm(self.matrix, axis=1)
-        # cosine query norms by 1-D norm, bit for bit as _score_block takes them
-        self.q_norms = np.array([float(np.linalg.norm(v)) for v in self.matrix])
+        m = self.matrix  # cosine query norms with the bits of 1-D np.linalg.norm
+        self.q_norms = np.sqrt(np.matmul(m[:, None], m[:, :, None])[:, 0, 0])
         self.n_missing = int(np.sum(~self.present))
         self.pos = {h: i for i, h in enumerate(self.ids)}
 
 
-_BLOCK_CELLS = 2 ** 14  # score cells (events x candidates) per block: 128 KB
+_BLOCK_CELLS = 2 ** 14  # score cells (queries x candidates) per block: 128 KB
 
 
 def _pool_ranks(cache: _MarketCache, q_pos, t_pos, mode: str):
-    """Truth ranks of events given as pool positions, a block at a time. A
-    truth without an embedding follows every scored candidate, by position."""
+    """Truth ranks of events given as pool positions. Each distinct query is
+    scored once, and a stable sort orders its scored candidates by descending
+    score, ties by ascending position: an event's rank is its truth's place,
+    less the query's. A truth without an embedding follows them, by position."""
     present = cache.present
-    ranks = np.sum(present) - 1 + np.cumsum(~present)[t_pos]
-    step = max(1, _BLOCK_CELLS // len(present))
+    cols = np.flatnonzero(present)
+    ranks = len(cols) - 1 + np.cumsum(~present)[t_pos]
     scored = np.flatnonzero(present[t_pos])
-    for b in (scored[lo:lo + step] for lo in range(0, len(scored), step)):
-        qb, tb, rows = q_pos[b], t_pos[b], np.arange(len(b))
-        # one gemv per event: bit-identical to _score_block's matrix @ v_q
+    queries, which = np.unique(q_pos[scored], return_inverse=True)
+    step = max(1, _BLOCK_CELLS // len(present))
+    for lo in range(0, len(queries), step):
+        qb = queries[lo:lo + step]
+        # one gemv per query: bit-identical to _score_block's matrix @ v_q
         scores = np.matmul(cache.matrix[None], cache.matrix[qb][:, :, None])[:, :, 0]
         if mode == "cosine":
             qn = cache.q_norms[qb][:, None]
             scores = np.divide(scores, cache.norms * qn, out=np.zeros_like(scores),
                                where=present & (cache.norms > 0) & (qn > 0))
-        elif mode != "model":
-            raise ValueError(f"unknown mode {mode!r}")
-        s_t = scores[rows, tb][:, None]
-        ahead = (scores > s_t) | ((scores == s_t) & (np.arange(len(present)) < tb[:, None]))
+        order = cols[np.argsort(-scores[:, cols], axis=1, kind="stable")]
+        place = np.empty(scores.shape, np.intp)  # pool position -> place in order
+        np.put_along_axis(place, order, np.arange(len(cols)), axis=1)
+        block = which // step == lo // step
+        ev, rows = scored[block], which[block] - lo
+        p_t = place[rows, t_pos[ev]]
         # the query is present and never its own candidate
-        ranks[b] = 1 + np.count_nonzero(ahead & present, axis=1) - ahead[rows, qb]
+        ranks[ev] = 1 + p_t - (place[rows, q_pos[ev]] < p_t)
     return ranks
 
 
@@ -159,30 +166,27 @@ def _event_ranks(events, catalog: HotelCatalog, get, dim: int, mode: str,
     candidates without an embedding after all scored ones (by ascending id).
     A truth outside the pool (a click into another market) misses: rank inf.
     """
-    caches: dict[str, _MarketCache] = {}
-    groups: dict[str, list] = {}  # pool key -> [(rank slot, q_pos, t_pos)]
-    ranks, skipped, missing_total = [], 0, 0
-    for ev in events:
-        key = ev.market_id if pool == "market" else "__global__"
-        cache = caches.get(key)
-        if cache is None:
-            cache = caches[key] = _MarketCache(catalog, ev.market_id, get, dim, pool)
-        q_pos = cache.pos[ev.query]
-        if not cache.present[q_pos]:
-            if skip_missing_query:
-                skipped += 1
-                continue
-            raise ValueError(f"query hotel {ev.query!r} missing from space")
-        missing_total += cache.n_missing
-        t_pos = cache.pos.get(ev.truth)
-        if t_pos is not None:
-            groups.setdefault(key, []).append((len(ranks), q_pos, t_pos))
-        ranks.append(math.inf)  # stays inf when the truth is outside the pool
-    for key, rows in groups.items():
-        slots, q_pos, t_pos = np.array(rows).T
-        for slot, rank in zip(slots, _pool_ranks(caches[key], q_pos, t_pos, mode).tolist()):
-            ranks[slot] = rank
-    return ranks, skipped, missing_total
+    if mode not in ("cosine", "model"):
+        raise ValueError(f"unknown mode {mode!r}")
+    slots: dict[str, list[int]] = {}  # pool key -> event indices, input order
+    for i, ev in enumerate(events):
+        slots.setdefault(ev.market_id if pool == "market" else "", []).append(i)
+    ranks = np.zeros(len(events), np.int64)  # 0: truth outside pool, -1: query absent
+    missing_total = 0
+    for rows in slots.values():
+        cache = _MarketCache(catalog, events[rows[0]].market_id, get, dim, pool)
+        q_pos = np.array([cache.pos[events[i].query] for i in rows])
+        t_pos = np.array([cache.pos.get(events[i].truth, -1) for i in rows])
+        rows, found = np.array(rows), cache.present[q_pos]
+        ranks[rows[~found]] = -1
+        missing_total += cache.n_missing * int(np.count_nonzero(found))
+        inside = found & (t_pos >= 0)
+        ranks[rows[inside]] = _pool_ranks(cache, q_pos[inside], t_pos[inside], mode)
+    if not skip_missing_query and (ranks < 0).any():  # the first in input order
+        query = events[int(np.argmax(ranks < 0))].query
+        raise ValueError(f"query hotel {query!r} missing from space")
+    kept = ranks[ranks >= 0].tolist()
+    return [r or math.inf for r in kept], len(events) - len(kept), missing_total
 
 
 def hits_at_k(ranks, k: int) -> float:

@@ -385,6 +385,8 @@ def train(train_sessions: SessionSet, catalog: HotelCatalog, cfg: TrainConfig,
     cfg.validate()
     if cfg.lam > 0 and source_space is None:
         raise ValueError("lam > 0 requires a frozen source embedding space")
+    if cfg.lam > 0 and source_space.dim != cfg.d:
+        raise ValueError(f"source space dim {source_space.dim} != model dim {cfg.d}")
 
     from .rng import substream
     params = init_params(catalog, cfg,

@@ -121,6 +121,21 @@ def test_train_regularized_run(world_dir, trained, tmp_path):
     assert read_embeddings(out).dim == 8
 
 
+def test_train_lambda_source_of_another_dim_names_the_file(world_dir, trained,
+                                                          tmp_path, capsys):
+    # before the check, the first mapped pair failed with a broadcast error
+    a_emb, _ = trained
+    rc = main(["train", "--catalog", str(world_dir / "catalog.jsonl"),
+               "--sessions", str(world_dir / "sessions_B.jsonl"),
+               "--brand", "B", "--out", str(tmp_path / "x.emb"),
+               "--lambda", "1.0", "--source-embeddings", a_emb,
+               "--mapping", str(world_dir / "mapping.tsv")] + TRAIN_SMALL
+              + ["--dim", "4"])
+    assert rc == 1
+    err = capsys.readouterr().err.strip()
+    assert err == f"error: {a_emb}: source embedding dim 8 != --dim 4"
+
+
 def test_train_missing_catalog_is_runtime_error(tmp_path, world_dir):
     rc = main(["train", "--catalog", str(tmp_path / "nope.jsonl"),
                "--sessions", str(world_dir / "sessions_A.jsonl"),
@@ -221,6 +236,21 @@ def test_align_self_residual_near_zero(world_dir, trained, tmp_path, capsys):
     assert rc == 0
     residual = float(capsys.readouterr().out.rsplit("residual", 1)[1])
     assert residual < 1e-6
+
+
+def test_align_repeated_mapping_target_names_the_line(world_dir, trained,
+                                                     tmp_path, capsys):
+    a_emb, b_emb = trained
+    lines = (world_dir / "mapping.tsv").read_text().splitlines()
+    target = lines[0].split("\t")[1]
+    mapping = tmp_path / "mapping.tsv"
+    mapping.write_text("\n".join(lines + [f"extra\t{target}"]) + "\n")
+    rc = main(["align", "--source-emb", a_emb, "--target-emb", b_emb,
+               "--mapping", str(mapping), "--out", str(tmp_path / "w.proj")])
+    assert rc == 1
+    err = capsys.readouterr().err.strip()
+    assert err == (f"error: {mapping}:{len(lines) + 1}: mapping not injective: "
+                   f"target {target!r} repeated from line 1")
 
 
 def test_align_missing_file_is_runtime_error(world_dir, tmp_path):
@@ -366,6 +396,34 @@ def test_eval_cross_market_truth_counts_as_miss(world_dir, trained, tmp_path):
     assert rows[-1]["metadata"]["truth_outside_pool"] == 1
     # the in-market event is a hit at k=100 (12-hotel market), the other a miss
     assert rows[0]["n_events"] == 2 and rows[0]["hits"] == 0.5
+
+
+def test_eval_outside_market_clicks_are_one_warning_line(world_dir, trained,
+                                                        tmp_path):
+    # a warning goes to stderr outside pytest's capture: run the CLI in a
+    # fresh interpreter
+    a_emb, _ = trained
+    lines = (world_dir / "sessions_A.jsonl").read_text().splitlines()[:20]
+    records = [json.loads(line) for line in lines]
+    markets = sorted({r["market_id"] for r in records})
+    for r in records[:3]:  # three sessions moved to another market
+        r["market_id"] = markets[1 - markets.index(r["market_id"])]
+    sessions = tmp_path / "moved.jsonl"
+    sessions.write_text("".join(json.dumps(r) + "\n" for r in records))
+    outside = sum(len(r["clicks"]) for r in records[:3])
+    env = dict(os.environ, PYTHONPATH=str(Path(brandalign.__file__).parents[1]))
+    env.pop("PYTHONWARNINGS", None)
+    proc = subprocess.run(
+        [sys.executable, "-m", "brandalign.cli", "eval", "--catalog",
+         str(world_dir / "catalog.jsonl"), "--sessions", str(sessions),
+         "--brand", "A", "--embeddings", a_emb, "--out", str(tmp_path / "m.jsonl")],
+        env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    first = records[0]
+    assert proc.stderr.splitlines() == [
+        f"warning: {sessions}:1: session {first['session_id']!r} click "
+        f"{first['clicks'][0]!r} is outside market {first['market_id']!r} "
+        f"({outside} click(s) in this file are outside their session's market)"]
 
 
 def test_eval_without_cross_market_clicks_has_no_outside_count(world_dir, trained,

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -197,6 +198,20 @@ def test_load_sessions_cross_market_click_warns(tmp_path, catalog6):
         load_sessions(path, catalog6, "A")
 
 
+def test_load_sessions_warns_once_per_file_for_outside_market_clicks(tmp_path,
+                                                                    catalog6):
+    path = tmp_path / "sessions.jsonl"
+    _write_lines(path, [_session_obj("s0", ["h0", "h1"]),
+                        _session_obj("s1", ["h0", "h3"]),
+                        _session_obj("s2", ["h4", "h1", "h5"])])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        load_sessions(path, catalog6, "A")
+    assert [str(w.message) for w in caught] == [
+        f"{path}:2: session 's1' click 'h3' is outside market 'm0' "
+        f"(3 click(s) in this file are outside their session's market)"]
+
+
 # ---------------------------------------------------------------------------
 # mapping loading
 
@@ -228,6 +243,15 @@ def test_load_mapping_checks_catalogs(tmp_path, catalog6):
     path.write_text("h0\tnope\n")
     with pytest.raises(DataError, match="nope"):
         load_mapping(path, source_catalog=catalog6, target_catalog=catalog6)
+
+
+def test_load_mapping_repeated_target_names_path_and_line(tmp_path):
+    path = tmp_path / "mapping.tsv"
+    path.write_text("a1\tb1\na2\tb2\n\na3\tb1\n")
+    with pytest.raises(DataError) as raised:
+        load_mapping(path)
+    assert str(raised.value) == \
+        f"{path}:4: mapping not injective: target 'b1' repeated from line 1"
 
 
 def test_mapping_rejects_repeated_target():

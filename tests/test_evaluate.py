@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from brandalign.data import BrandMapping
 from brandalign.evaluate import (_BLOCK_CELLS, MetricsReport, PredictionEvent,
-                                 _event_ranks, cross_brand_evaluate, evaluate,
+                                 _event_ranks, _MarketCache, cross_brand_evaluate, evaluate,
                                  event_pool, hits_at_k, make_events, mrr_at_k,
                                  rank_candidates, write_metrics)
 from brandalign.model import EmbeddingSpace
@@ -359,6 +359,83 @@ def test_event_ranks_name_the_first_missing_query_in_input_order():
               PredictionEvent("b", "a", "m0")]
     with pytest.raises(ValueError, match=r"^query hotel 'z' missing from space$"):
         _event_ranks(events, catalog, vectors.get, 2, "cosine")
+
+
+def _shared_query_events(catalog, markets, rng, n_queries, per_query):
+    """per_query events for each of n_queries queries of every market, in a
+    shuffled input order; a few are self-clicks (truth == query), which
+    make_events never emits but the ranker defines: the query's own place."""
+    events = []
+    for m, ids in markets.items():
+        for q in rng.choice(ids, size=n_queries, replace=False):
+            truths = rng.choice(catalog.hotel_ids, size=per_query)
+            truths[0] = q
+            events += [PredictionEvent(str(q), str(t), m) for t in truths]
+    return [events[i] for i in rng.permutation(len(events))]
+
+
+def test_event_ranks_score_shared_queries_over_several_blocks():
+    rng = np.random.default_rng(11)
+    markets = {f"m{i}": [f"m{i}h{j:03d}" for j in range(300)] for i in range(2)}
+    catalog = make_catalog(markets, seed=11)
+    vectors = {h: rng.normal(size=5) for h in catalog.hotel_ids[::2]}
+    vectors.update((h, rng.normal(size=5) * (rng.random() > 0.2))
+                   for h in catalog.hotel_ids[1::2] if rng.random() > 0.1)
+    events = _shared_query_events(catalog, markets, rng, 200, 6)
+    for pool, n, distinct in (("market", 300, 200), ("global", 600, 400)):
+        assert distinct > 3 * (_BLOCK_CELLS // n)  # queries of a pool span >3 blocks
+        for mode in ("cosine", "model"):
+            args = (events, catalog, vectors.get, 5, mode)
+            got = _event_ranks(*args, skip_missing_query=True, pool=pool)
+            assert got == reference_event_ranks(*args, skip_missing_query=True,
+                                                pool=pool)
+            assert got[1] > 0  # queries without an embedding were skipped
+
+
+def test_event_ranks_order_signed_zero_and_all_zero_ties_by_id():
+    # model scores of -0.0 and 0.0 tie, and an all-zero query ties its pool;
+    # the stable sort must keep such ties in ascending id order
+    rng = np.random.default_rng(5)
+    markets = {"m0": [f"h{j:03d}" for j in range(400)]}
+    catalog = make_catalog(markets, seed=5)
+    signs = rng.choice([-1.0, 1.0], size=(400, 3))
+    vectors = {h: signs[i] * (0.0 if i % 3 else abs(rng.normal(size=3)))
+               for i, h in enumerate(catalog.hotel_ids)}
+    vectors["h000"] = np.array([-0.0, 0.0, -0.0])
+    assert sum(np.signbit(v).any() and not v.any() for v in vectors.values()) > 100
+    events = _shared_query_events(catalog, markets, rng, 60, 8)
+    events.append(PredictionEvent("h000", "h399", "m0"))
+    for mode in ("model", "cosine"):
+        args = (events, catalog, vectors.get, 3, mode)
+        assert _event_ranks(*args) == reference_event_ranks(*args)
+    ranks = _event_ranks([PredictionEvent("h000", h, "m0") for h in ("h001", "h399")],
+                         catalog, vectors.get, 3, "model")[0]
+    assert ranks == [1, 399]
+
+
+def test_event_ranks_keep_input_order_across_interleaved_markets():
+    catalog, vectors, events = _ranker_world(3, 3, 50, 4, 400, 3, 0.1, 0.2)
+    by_market = [[ev for ev in events if ev.market_id == m] for m in ("m0", "m1", "m2")]
+    mixed = [ev for row in zip(*by_market) for ev in row]  # round robin
+    mixed += [ev for ev in events if ev not in mixed]
+    for pool in ("market", "global"):
+        for order in (mixed, mixed[::-1]):
+            args = (order, catalog, vectors.get, 4, "cosine")
+            assert (_event_ranks(*args, skip_missing_query=True, pool=pool)
+                    == reference_event_ranks(*args, skip_missing_query=True,
+                                             pool=pool))
+
+
+def test_cosine_query_norms_equal_the_one_vector_norm_bit_for_bit():
+    rng = np.random.default_rng(2)
+    catalog = make_catalog({"m0": [f"h{j}" for j in range(200)]})
+    for dim in (1, 2, 3, 7, 16, 32, 33, 64):
+        for scale in (1e-200, 1e-3, 1.0, 1e4, 1e150):
+            vectors = {h: rng.normal(size=dim) * scale * (rng.random() > 0.1)
+                       for h in catalog.hotel_ids}
+            cache = _MarketCache(catalog, "m0", vectors.get, dim)
+            one_by_one = np.array([np.linalg.norm(vectors[h]) for h in cache.ids])
+            assert cache.q_norms.tobytes() == one_by_one.tobytes()
 
 
 # ---------------------------------------------------------------------------

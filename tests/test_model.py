@@ -305,6 +305,19 @@ def test_train_requires_source_space_when_lambda_positive():
         train(sessions, world.catalog, tiny_config(lam=1.0))
 
 
+def test_train_rejects_a_source_space_of_another_dimension():
+    # before the check, the first mapped pair failed with numpy's broadcast error
+    world, sessions = _tiny_world()
+    ids = world.catalog.hotel_ids
+    source = EmbeddingSpace(dim=8, brand="S", vectors={h: np.ones(8) for h in ids})
+    epochs = []
+    with pytest.raises(ValueError, match=r"^source space dim 8 != model dim 3$"):
+        train(sessions, world.catalog, tiny_config(lam=1.0), source_space=source,
+              mapping=BrandMapping({h: h for h in ids}),
+              epoch_loss_sink=lambda e, l: epochs.append(e))
+    assert epochs == []
+
+
 def test_train_loss_decreases_over_epochs():
     world, sessions = _tiny_world()
     # d=3 is too narrow to learn anything here (dead ReLU outputs), so use d=8
