@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 from brandalign.data import BrandMapping
 from brandalign.evaluate import (_BLOCK_CELLS, MetricsReport, PredictionEvent,
-                                 _event_ranks, _MarketCache, cross_brand_evaluate, evaluate,
-                                 event_pool, hits_at_k, make_events, mrr_at_k,
-                                 rank_candidates, write_metrics)
+                                 _event_ranks, _MarketCache, cross_brand_evaluate,
+                                 evaluate, event_pool, hits_at_k, make_events,
+                                 mrr_at_k, rank_candidates, write_metrics)
 from brandalign.model import EmbeddingSpace
 from conftest import make_catalog, make_sessions
 from oracles import brute_force_metrics, reference_event_ranks
