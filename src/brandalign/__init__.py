@@ -9,9 +9,8 @@ with hits@k and MRR@k.
 from .data import (BrandMapping, ClickSession, HotelCatalog, HotelRecord,
                    SessionSet, load_catalog, load_mapping, load_sessions,
                    split_sessions)
-from .model import (EmbeddingSpace, ModelParams, TrainConfig, da_loss,
-                    enriched_embedding, export_embeddings, feature_embed,
-                    gradients, read_embeddings, sgns_loss, train,
+from .model import (EmbeddingSpace, ModelParams, TrainConfig,
+                    export_embeddings, gradients, read_embeddings, train,
                     write_embeddings)
 from .align import (ProjectionMatrix, apply_projection, common_rows,
                     fit_linear_projection, fit_procrustes)

@@ -49,10 +49,9 @@ def _add_train_flags(p: argparse.ArgumentParser):
 
 def _train_config(args) -> model.TrainConfig:
     cfg = model.TrainConfig(
-        d_c=args.sub_dim, d_a=args.sub_dim, d_g=args.sub_dim, d=args.dim,
-        window=args.window, n_neg=args.n_neg, learning_rate=args.lr,
-        epochs=args.epochs, l2_weight=args.l2, lam=args.lam,
-        reg_variant=args.reg_variant, optimizer=args.optimizer,
+        sub_dim=args.sub_dim, d=args.dim, window=args.window, n_neg=args.n_neg,
+        learning_rate=args.lr, epochs=args.epochs, l2_weight=args.l2,
+        lam=args.lam, reg_variant=args.reg_variant, optimizer=args.optimizer,
         seed=args.seed, eval_every=args.eval_every)
     try:
         cfg.validate()

@@ -84,43 +84,38 @@ class HotelCatalog:
         if not hotels:
             raise DataError("empty catalog")
         self.hotels = list(hotels)
-        self._by_id: dict[str, HotelRecord] = {}
+        self.index: dict[str, int] = {}  # hotel id -> row, the shared id order
         self.markets: dict[str, set[str]] = {}
         first = self.hotels[0]
         for row, h in enumerate(self.hotels):
-            if h.hotel_id in self._by_id:
+            if h.hotel_id in self.index:
                 raise CatalogError(row, f"duplicate hotel_id {h.hotel_id!r}")
             problem = _record_problem(h, first)
             if problem:
                 raise CatalogError(row, f"hotel {h.hotel_id!r}: {problem}")
-            self._by_id[h.hotel_id] = h
+            self.index[h.hotel_id] = row
             self.markets.setdefault(h.market_id, set()).add(h.hotel_id)
         self.amenity_dim = len(first.amenities)
         self.geo_dim = len(first.geo)
         self.features = np.hstack([np.stack([h.amenities for h in self.hotels]),
                                    np.stack([h.geo for h in self.hotels])])
-        # stable id order for vectorized consumers
-        self.hotel_ids = [h.hotel_id for h in self.hotels]
-        self.index = {hid: i for i, hid in enumerate(self.hotel_ids)}
+        self.hotel_ids = list(self.index)
         self._market_lists: dict[str, tuple[str, ...]] = {}
 
     def __len__(self) -> int:
         return len(self.hotels)
 
     def __contains__(self, hotel_id: str) -> bool:
-        return hotel_id in self._by_id
+        return hotel_id in self.index
 
     def record(self, hotel_id: str) -> HotelRecord:
         try:
-            return self._by_id[hotel_id]
+            return self.hotels[self.index[hotel_id]]
         except KeyError:
             raise DataError(f"unknown hotel_id {hotel_id!r}") from None
 
     def market_of(self, hotel_id: str) -> str:
         return self.record(hotel_id).market_id
-
-    def market_members(self, market_id: str) -> set[str]:
-        return self.markets[market_id]
 
     def market_list(self, market_id: str) -> tuple[str, ...]:
         """Members of a market in ascending id order (cached)."""
@@ -169,9 +164,6 @@ class BrandMapping:
 
     def to_source(self, target_id: str) -> str | None:
         return self._inverse.get(target_id)
-
-    def to_target(self, source_id: str) -> str | None:
-        return self.pairs.get(source_id)
 
 
 def _parse_lines(path):

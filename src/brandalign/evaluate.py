@@ -10,6 +10,7 @@ metric is bit-for-bit reproducible.
 import json
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -17,8 +18,7 @@ from .data import BrandMapping, HotelCatalog, SessionSet
 from .model import EmbeddingSpace
 
 
-@dataclass(frozen=True)
-class PredictionEvent:
+class PredictionEvent(NamedTuple):
     query: str
     truth: str
     market_id: str
@@ -53,7 +53,7 @@ def event_pool(event: PredictionEvent, catalog: HotelCatalog,
                pool: str = "market") -> set[str]:
     """Candidate pool: the query's market (or the whole catalog) minus the query."""
     if pool == "market":
-        members = catalog.market_members(event.market_id)
+        members = catalog.markets[event.market_id]
     elif pool == "global":
         members = set(catalog.index)
     else:

@@ -33,9 +33,7 @@ class TrainingDiverged(RuntimeError):
 
 @dataclass
 class TrainConfig:
-    d_c: int = 16
-    d_a: int = 16
-    d_g: int = 16
+    sub_dim: int = 16                # width of each of the three sub-embeddings
     d: int = 32
     window: int = 3
     n_neg: int = 5
@@ -45,14 +43,11 @@ class TrainConfig:
     lam: float = 0.0                 # cross-brand regularizer strength
     reg_variant: str = "norm"        # "norm" | "squared_norm"
     optimizer: str = "sgd"           # "sgd" | "adam"
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     seed: int = 0
     eval_every: int = 10_000
 
     def validate(self):
-        if min(self.d_c, self.d_a, self.d_g, self.d, self.window,
+        if min(self.sub_dim, self.d, self.window,
                self.n_neg, self.epochs, self.eval_every) < 1:
             raise ValueError("size fields must be positive")
         if self.learning_rate <= 0:
@@ -68,14 +63,10 @@ class TrainConfig:
 @dataclass
 class ModelParams:
     """Trainable matrices; W_c rows follow the catalog's hotel order."""
-    w_c: np.ndarray  # |H| x d_c
-    w_a: np.ndarray  # d_a_in x d_a
-    w_g: np.ndarray  # d_g_in x d_g
-    w_e: np.ndarray  # (d_c + d_a + d_g) x d
-
-    def copy(self) -> "ModelParams":
-        return ModelParams(self.w_c.copy(), self.w_a.copy(),
-                           self.w_g.copy(), self.w_e.copy())
+    w_c: np.ndarray  # |H| x sub_dim
+    w_a: np.ndarray  # d_a_in x sub_dim
+    w_g: np.ndarray  # d_g_in x sub_dim
+    w_e: np.ndarray  # 3 sub_dim x d
 
 
 @dataclass
@@ -83,13 +74,6 @@ class EmbeddingSpace:
     dim: int
     brand: str
     vectors: dict[str, np.ndarray]
-
-
-def feature_embed(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """relu(x W / ||x W||); the zero vector when ||x W|| is (near) zero."""
-    if len(x) != w.shape[0]:
-        raise ValueError(f"dimension mismatch: {len(x)} vs {w.shape[0]}")
-    return _norm_relu_rows((x @ w)[None])[0]
 
 
 def _row_products(x: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -109,25 +93,16 @@ def _norm_relu_rows(y: np.ndarray) -> np.ndarray:
                                 where=~(norms < EPS_NORM)), 0.0)
 
 
-def _forward_rows(params: ModelParams, catalog: HotelCatalog, rows) -> np.ndarray:
-    """Enriched embeddings relu([V_c, V_a, V_g] @ W_e) of the hotels at
-    catalog rows, one per row."""
-    x = catalog.features[rows]
+def _forward_rows(params: ModelParams, catalog: HotelCatalog) -> np.ndarray:
+    """Enriched embeddings relu([V_c, V_a, V_g] @ W_e) of the catalog's
+    hotels, one row per hotel."""
+    x = catalog.features
     a_dim = catalog.amenity_dim
-    u = np.concatenate([_norm_relu_rows(params.w_c[rows]),
+    u = np.concatenate([_norm_relu_rows(params.w_c),
                         _norm_relu_rows(_row_products(x[:, :a_dim], params.w_a)),
                         _norm_relu_rows(_row_products(x[:, a_dim:], params.w_g))],
                        axis=1)
     return np.maximum(_row_products(u, params.w_e), 0.0)
-
-
-def enriched_embedding(hotel_id: str, params: ModelParams,
-                       catalog: HotelCatalog) -> np.ndarray:
-    """Final embedding relu([V_c, V_a, V_g] @ W_e) for one hotel."""
-    idx = catalog.index.get(hotel_id)
-    if idx is None:
-        raise ValueError(f"unknown hotel {hotel_id!r}")
-    return _forward_rows(params, catalog, [idx])[0]
 
 
 def _softplus(x: float) -> float:
@@ -155,25 +130,6 @@ def _expit(x: float) -> float:
         return 0.0
 
 
-def sgns_loss(v_t: np.ndarray, v_ctx: np.ndarray, v_negs) -> float:
-    """-ln sigma(t.ctx) - sum_i ln sigma(-t.neg_i), via softplus for stability."""
-    loss = _softplus(-float(v_t @ v_ctx))
-    for v_n in v_negs:
-        loss += _softplus(float(v_t @ v_n))
-    return loss
-
-
-def da_loss(base: float, v_target: np.ndarray, v_source: np.ndarray,
-            lam: float, variant: str = "norm") -> float:
-    """Add the cross-brand closeness penalty to a base loss value."""
-    diff = np.linalg.norm(v_target - v_source)
-    if variant == "norm":
-        return base + lam * diff
-    if variant == "squared_norm":
-        return base + lam * diff * diff
-    raise ValueError(f"unknown variant {variant!r}")
-
-
 class StepContext:
     """What the per-pair step reads besides the hotels: the parameters, the
     feature matrices, the config and the frozen source space.
@@ -196,11 +152,9 @@ class StepContext:
         self.grad_views = self.views(self.grad)
         self.features = catalog.features
         self.a_dim = catalog.amenity_dim
-        widths = [cfg.d_c, cfg.d_a, cfg.d_g]
-        cuts = np.cumsum([0] + widths).tolist()
-        self.blocks = [slice(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
-        self.col_block = np.repeat([0, 1, 2], widths)
-        self.width = cfg.d_c if cfg.d_c == cfg.d_a == cfg.d_g else None
+        w = cfg.sub_dim
+        self.blocks = [slice(j * w, (j + 1) * w) for j in range(3)]
+        self.col_block = np.repeat([0, 1, 2], w)
         self.sources = {}  # catalog index -> source vector, once resolved
         self.scratch = {}  # k -> buffers of a step over k distinct hotels
 
@@ -224,14 +178,10 @@ class StepContext:
         return self.scratch[k]
 
     def block_dots(self, a: np.ndarray, b: np.ndarray, out: np.ndarray):
-        """out[i, j] = a[i, block j] . b[i, block j]. With equal widths one einsum
-        over (k, 3, width) views runs the per-block kernel on the same numbers."""
-        if self.width:
-            shape = (len(a), 3, self.width)
-            np.einsum("ijk,ijk->ij", a.reshape(shape), b.reshape(shape), out=out)
-        else:
-            for j, blk in enumerate(self.blocks):
-                np.einsum("ij,ij->i", a[:, blk], b[:, blk], out=out[:, j])
+        """out[i, j] = a[i, block j] . b[i, block j], one einsum over
+        (k, 3, sub_dim) views."""
+        shape = (len(a), 3, self.cfg.sub_dim)
+        np.einsum("ijk,ijk->ij", a.reshape(shape), b.reshape(shape), out=out)
 
     def views(self, flat: np.ndarray) -> list[np.ndarray]:
         """W_a, W_g and W_e shaped views of a flat buffer."""
@@ -332,16 +282,18 @@ def init_params(catalog: HotelCatalog, cfg: TrainConfig,
     def uni(label, shape, half):
         return rng_factory(label).uniform(-half, half, size=shape)
 
-    d_cat = cfg.d_c + cfg.d_a + cfg.d_g
+    w, d_cat = cfg.sub_dim, 3 * cfg.sub_dim
     return ModelParams(
-        w_c=uni("w_c", (len(catalog), cfg.d_c), 0.5 / cfg.d_c),
-        w_a=uni("w_a", (catalog.amenity_dim, cfg.d_a), 0.5 / cfg.d_a),
-        w_g=uni("w_g", (catalog.geo_dim, cfg.d_g), 0.5 / cfg.d_g),
+        w_c=uni("w_c", (len(catalog), w), 0.5 / w),
+        w_a=uni("w_a", (catalog.amenity_dim, w), 0.5 / w),
+        w_g=uni("w_g", (catalog.geo_dim, w), 0.5 / w),
         w_e=uni("w_e", (d_cat, cfg.d), math.sqrt(6.0 / (d_cat + cfg.d))),
     )
 
 
 class _AdamState:
+    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
     def __init__(self, w_c: np.ndarray, flat: np.ndarray, cfg: TrainConfig):
         self.m_c, self.v_c = np.zeros_like(w_c), np.zeros_like(w_c)
         self.m, self.v = np.zeros_like(flat), np.zeros_like(flat)
@@ -350,9 +302,8 @@ class _AdamState:
     def update(self, w_c, flat, idx, dy_c, grad):
         # lazy variant: W_c moments advance only on touched rows, with the
         # global step used for bias correction
-        cfg = self.cfg
         self.t += 1
-        b1, b2, eps, lr = cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps, cfg.learning_rate
+        b1, b2, eps, lr = self.BETA1, self.BETA2, self.EPS, self.cfg.learning_rate
         c1 = 1.0 - b1 ** self.t
         c2 = 1.0 - b2 ** self.t
 
@@ -432,7 +383,7 @@ def train(train_sessions: SessionSet, catalog: HotelCatalog, cfg: TrainConfig,
 def export_embeddings(params: ModelParams, catalog: HotelCatalog,
                       brand: str = "unknown") -> EmbeddingSpace:
     """Materialize the enriched embedding of every catalog hotel."""
-    matrix = _forward_rows(params, catalog, slice(None))
+    matrix = _forward_rows(params, catalog)
     return EmbeddingSpace(dim=params.w_e.shape[1], brand=brand,
                           vectors=dict(zip(catalog.hotel_ids, matrix)))
 
@@ -469,6 +420,12 @@ def read_embeddings(path, brand: str = "unknown") -> EmbeddingSpace:
             linenos.append(lineno)
     matrix = np.array(coords, dtype=float).reshape(len(ids), dim)
     check_finite(matrix, path, linenos)
+    with np.errstate(over="ignore"):
+        bounded = np.isfinite(np.einsum("ij,ij->i", matrix, matrix))
+    if not bounded.all():
+        row = int(np.argmin(bounded))
+        raise DataError(f"{path}:{linenos[row]}: squared norm of {ids[row]!r} "
+                        f"overflows")
     vectors = dict(zip(ids, matrix))
     if len(vectors) != count:
         raise ValueError(f"{path}: header count {count} != {len(vectors)} rows")

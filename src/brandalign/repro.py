@@ -53,7 +53,7 @@ def reference_train_config(seed: int, quick: bool = False) -> model.TrainConfig:
     # n_neg=1: with tied nonnegative embeddings, more negatives per positive
     # drive every embedding to zero (the only nonnegative zero-dot solution)
     return model.TrainConfig(
-        d_c=16, d_a=16, d_g=16, d=32, window=3, n_neg=1,
+        sub_dim=16, d=32, window=3, n_neg=1,
         learning_rate=0.05, epochs=3, l2_weight=1e-6,
         seed=seed, eval_every=1_000 if quick else 4_000)
 

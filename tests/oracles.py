@@ -135,7 +135,7 @@ def brute_force_metrics(events, space_vectors, catalog, mode, k,
     rranks = []
     for ev in events:
         if pool == "market":
-            candidates = sorted(catalog.market_members(ev.market_id) - {ev.query})
+            candidates = sorted(catalog.markets[ev.market_id] - {ev.query})
         else:
             candidates = sorted(set(catalog.index) - {ev.query})
         v_q = space_vectors[ev.query]
@@ -257,7 +257,7 @@ def _sample_negatives(catalog, target, context, n_neg, rng):
     market = catalog.market_of(target)
     members = catalog.market_list(market)
     excluded = {target, context}
-    n_eligible = len(members) - sum(1 for e in excluded if e in catalog.market_members(market))
+    n_eligible = len(members) - sum(1 for e in excluded if e in catalog.markets[market])
     if n_eligible <= 0:
         raise PairSkipped(f"market {market!r} has no eligible negatives")
     out = []
@@ -378,10 +378,10 @@ def reference_gradients(pair, params, amenities, geo, index, cfg,
     dz = np.where(z > 0, dv, 0.0)
     dw_e = u.T @ dz
     du = dz @ params.w_e.T
-    d_c, d_a = cfg.d_c, cfg.d_a
-    dy_c = _norm_relu_back_rows(du[:, :d_c], yhat_c, inv_c)
-    dy_a = _norm_relu_back_rows(du[:, d_c:d_c + d_a], yhat_a, inv_a)
-    dy_g = _norm_relu_back_rows(du[:, d_c + d_a:], yhat_g, inv_g)
+    w = cfg.sub_dim
+    dy_c = _norm_relu_back_rows(du[:, :w], yhat_c, inv_c)
+    dy_a = _norm_relu_back_rows(du[:, w:2 * w], yhat_a, inv_a)
+    dy_g = _norm_relu_back_rows(du[:, 2 * w:], yhat_g, inv_g)
     dw_a = a_in.T @ dy_a
     dw_g = g_in.T @ dy_g
 
@@ -410,9 +410,8 @@ class _ReferenceAdam:
         self.cfg = cfg
 
     def update(self, params, grads):
-        cfg = self.cfg
         self.t += 1
-        b1, b2, eps, lr = cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps, cfg.learning_rate
+        b1, b2, eps, lr = 0.9, 0.999, 1e-8, self.cfg.learning_rate
         c1 = 1.0 - b1 ** self.t
         c2 = 1.0 - b2 ** self.t
         w_c_rows, dense = grads[0], dict(zip(("w_a", "w_g", "w_e"), grads[1:4]))

@@ -36,7 +36,7 @@ def _grad_instance(seed, lam, variant, n_neg):
     n_hotels = 4 + n_neg
     catalog = make_catalog({"m0": [f"h{i}" for i in range(n_hotels)]},
                            seed=seed)
-    cfg = TrainConfig(d_c=2, d_a=2, d_g=2, d=3, window=2, n_neg=n_neg,
+    cfg = TrainConfig(sub_dim=2, d=3, window=2, n_neg=n_neg,
                       learning_rate=0.05, epochs=1,
                       l2_weight=float(rng.choice([0.0, 1e-3])),
                       lam=lam, reg_variant=variant, seed=seed)

@@ -448,6 +448,22 @@ def test_eval_non_finite_embedding_is_runtime_error(world_dir, trained, tmp_path
     assert "corrupt.emb:3: non-finite" in capsys.readouterr().err
 
 
+def test_eval_overflowing_embedding_norm_is_runtime_error(world_dir, trained,
+                                                         tmp_path, capsys):
+    # finite coordinates whose squared norm overflows scored NaN cosines
+    a_emb, _ = trained
+    lines = open(a_emb).read().splitlines()
+    parts = lines[2].split()
+    lines[2] = " ".join([parts[0], "1e200"] + parts[2:])
+    corrupt = tmp_path / "huge.emb"
+    corrupt.write_text("\n".join(lines) + "\n")
+    rc = main(eval_args(world_dir, str(corrupt), "A", tmp_path / "x.jsonl"))
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"huge.emb:3: squared norm of {parts[0]!r} overflows" in err
+    assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+
+
 @pytest.mark.parametrize("which, text", [
     ("embeddings", "2 x\nh0 0.1 0.2\n"),
     ("projection", "8 8 orthogonal\n"),

@@ -219,7 +219,7 @@ def test_load_mapping_roundtrip(tmp_path):
     path = tmp_path / "mapping.tsv"
     path.write_text("a1\tb1\na2\tb2\n")
     mapping = load_mapping(path)
-    assert mapping.to_target("a1") == "b1"
+    assert mapping.pairs["a1"] == "b1"
     assert mapping.to_source("b2") == "a2"
     assert mapping.to_source("unknown") is None
 
@@ -262,7 +262,7 @@ def test_mapping_rejects_repeated_target():
 def test_mapping_inverse_is_identity_on_domain():
     mapping = BrandMapping({"a1": "b1", "a2": "b2", "a3": "b3"})
     for src in mapping.pairs:
-        assert mapping.to_source(mapping.to_target(src)) == src
+        assert mapping.to_source(mapping.pairs[src]) == src
 
 
 # ---------------------------------------------------------------------------

@@ -7,11 +7,9 @@ import pytest
 from brandalign import repro, synth
 from brandalign.data import BrandMapping, DataError
 from brandalign.model import (EmbeddingSpace, ModelParams, StepContext,
-                              TrainConfig, TrainingDiverged, da_loss,
-                              enriched_embedding, export_embeddings,
-                              feature_embed, gradients, init_params,
-                              read_embeddings, sgns_loss, train,
-                              write_embeddings)
+                              TrainConfig, TrainingDiverged, _norm_relu_rows,
+                              export_embeddings, gradients, init_params,
+                              read_embeddings, train, write_embeddings)
 from brandalign.pairs import TrainingPair
 from brandalign.rng import substream
 from conftest import make_catalog, make_sessions
@@ -22,7 +20,7 @@ FD_TOL = 1e-4
 
 
 def tiny_config(**overrides) -> TrainConfig:
-    base = dict(d_c=2, d_a=2, d_g=2, d=3, window=2, n_neg=1,
+    base = dict(sub_dim=2, d=3, window=2, n_neg=1,
                 learning_rate=0.05, epochs=1, l2_weight=0.0, seed=0,
                 eval_every=10)
     base.update(overrides)
@@ -33,12 +31,12 @@ def random_instance(seed: int, cfg: TrainConfig, n_hotels: int = 4):
     """Random catalog, params, pair, and nonnegative source space."""
     rng = np.random.default_rng(seed)
     catalog = make_catalog({"m0": [f"h{i}" for i in range(n_hotels)]}, seed=seed)
-    d_cat = cfg.d_c + cfg.d_a + cfg.d_g
+    w = cfg.sub_dim
     params = ModelParams(
-        w_c=rng.normal(0, 0.5, (n_hotels, cfg.d_c)),
-        w_a=rng.normal(0, 0.5, (catalog.amenity_dim, cfg.d_a)),
-        w_g=rng.normal(0, 0.5, (catalog.geo_dim, cfg.d_g)),
-        w_e=rng.normal(0, 0.5, (d_cat, cfg.d)))
+        w_c=rng.normal(0, 0.5, (n_hotels, w)),
+        w_a=rng.normal(0, 0.5, (catalog.amenity_dim, w)),
+        w_g=rng.normal(0, 0.5, (catalog.geo_dim, w)),
+        w_e=rng.normal(0, 0.5, (3 * w, cfg.d)))
     ids = catalog.hotel_ids
     target, context = rng.choice(ids, size=2, replace=False)
     negatives = tuple(rng.choice([h for h in ids if h != target and h != context],
@@ -50,56 +48,45 @@ def random_instance(seed: int, cfg: TrainConfig, n_hotels: int = 4):
 
 
 # ---------------------------------------------------------------------------
-# feature_embed
+# feature sub-embeddings: normalize, then relu
 
 def test_feature_embed_three_four_five():
-    got = feature_embed(np.array([1.0]), np.array([[3.0, 4.0]]))
-    assert np.allclose(got, [0.6, 0.8])
+    assert np.allclose(_norm_relu_rows(np.array([[3.0, 4.0]])), [[0.6, 0.8]])
 
 
 def test_feature_embed_clips_negative_coordinate():
-    got = feature_embed(np.array([1.0]), np.array([[3.0, -4.0]]))
-    assert np.allclose(got, [0.6, 0.0])
+    assert np.allclose(_norm_relu_rows(np.array([[3.0, -4.0]])), [[0.6, 0.0]])
 
 
 def test_feature_embed_zero_input_is_zero():
-    got = feature_embed(np.array([0.0]), np.array([[3.0, 4.0]]))
-    assert np.array_equal(got, [0.0, 0.0])
-
-
-def test_feature_embed_dimension_mismatch():
-    with pytest.raises(ValueError, match="dimension mismatch"):
-        feature_embed(np.array([1.0, 2.0]), np.array([[1.0, 0.0]]))
+    assert np.array_equal(_norm_relu_rows(np.array([[0.0, 0.0], [3.0, 4.0]]))[0],
+                          [0.0, 0.0])
 
 
 def test_feature_embed_nonnegative_unit_bounded():
-    rng = np.random.default_rng(0)
-    for _ in range(50):
-        x = rng.normal(size=3)
-        w = rng.normal(size=(3, 4))
-        y = feature_embed(x, w)
-        assert np.all(y >= 0)
-        assert np.linalg.norm(y) <= 1 + 1e-12
+    y = _norm_relu_rows(np.random.default_rng(0).normal(size=(50, 4)))
+    assert np.all(y >= 0)
+    assert np.all(np.linalg.norm(y, axis=1) <= 1 + 1e-12)
 
 
 # ---------------------------------------------------------------------------
-# enriched_embedding
+# enriched embeddings, as export_embeddings computes them
 
 def test_enriched_embedding_zero_we_gives_zero():
-    cfg = tiny_config()
-    catalog, params, _, _ = random_instance(0, cfg)
+    catalog, params, _, _ = random_instance(0, tiny_config())
     params.w_e[...] = 0.0
-    assert np.array_equal(enriched_embedding("h0", params, catalog), np.zeros(3))
+    space = export_embeddings(params, catalog)
+    assert all(np.array_equal(v, np.zeros(3)) for v in space.vectors.values())
 
 
 def test_enriched_embedding_matches_straight_line_oracle():
     cfg = tiny_config()
     for seed in range(10):
         catalog, params, _, _ = random_instance(seed, cfg)
+        space = export_embeddings(params, catalog)
         for hid in catalog.hotel_ids:
-            got = enriched_embedding(hid, params, catalog)
             want = straight_line_embedding(hid, params, catalog)
-            assert np.max(np.abs(got - want)) < 1e-12
+            assert np.max(np.abs(space.vectors[hid] - want)) < 1e-12
 
 
 def test_enriched_embedding_is_functional():
@@ -111,79 +98,108 @@ def test_enriched_embedding_is_functional():
                             HotelRecord("h1", "m0", amenities, geo)])
     cfg = tiny_config()
     rng = np.random.default_rng(1)
-    d_cat = cfg.d_c + cfg.d_a + cfg.d_g
+    w = cfg.sub_dim
     params = ModelParams(
-        w_c=rng.normal(0, 0.5, (2, cfg.d_c)),
-        w_a=rng.normal(0, 0.5, (catalog.amenity_dim, cfg.d_a)),
-        w_g=rng.normal(0, 0.5, (catalog.geo_dim, cfg.d_g)),
-        w_e=rng.normal(0, 0.5, (d_cat, cfg.d)))
+        w_c=rng.normal(0, 0.5, (2, w)),
+        w_a=rng.normal(0, 0.5, (catalog.amenity_dim, w)),
+        w_g=rng.normal(0, 0.5, (catalog.geo_dim, w)),
+        w_e=rng.normal(0, 0.5, (3 * w, cfg.d)))
     params.w_c[1] = params.w_c[0]
-    assert np.array_equal(enriched_embedding("h0", params, catalog),
-                          enriched_embedding("h1", params, catalog))
-
-
-def test_enriched_embedding_unknown_hotel(catalog6):
-    cfg = tiny_config()
-    _, params, _, _ = random_instance(0, cfg, n_hotels=6)
-    with pytest.raises(ValueError, match="unknown hotel"):
-        enriched_embedding("nope", params, catalog6)
+    space = export_embeddings(params, catalog)
+    assert np.any(space.vectors["h0"] > 0)
+    assert np.array_equal(space.vectors["h0"], space.vectors["h1"])
 
 
 # ---------------------------------------------------------------------------
-# losses
+# the per-pair loss that gradients returns
+
+def _hotels(pair, catalog):
+    return tuple(catalog.index[h] for h in (pair.target, pair.context,
+                                            *pair.negatives))
+
+
+def _loss(params, catalog, cfg, hotels, source=None, mapping=None) -> float:
+    ctx = StepContext(replace(params), catalog, cfg, source, mapping)
+    return gradients(ctx, hotels)[0]
+
+
+def _hand_instance(w_c_rows, scale=1.0):
+    """Hotels whose embeddings are scale * their W_c rows: W_a = W_g = 0 zero
+    the amenity and geo sub-embeddings, and W_e passes V_c through."""
+    w_c = np.array(w_c_rows, dtype=float)
+    catalog = make_catalog({"m0": [f"h{i}" for i in range(len(w_c))]})
+    cfg = tiny_config(d=2, n_neg=len(w_c) - 2)
+    w_e = np.zeros((3 * cfg.sub_dim, 2))
+    w_e[:2] = scale * np.eye(2)
+    params = ModelParams(w_c=w_c, w_a=np.zeros((catalog.amenity_dim, 2)),
+                         w_g=np.zeros((catalog.geo_dim, 2)), w_e=w_e)
+    return params, catalog, cfg, tuple(range(len(w_c)))
+
 
 def test_sgns_loss_all_zero_vectors():
-    z = np.zeros(3)
-    assert sgns_loss(z, z, [z]) == pytest.approx(2 * math.log(2), abs=1e-12)
+    for n_neg in (1, 3):  # three negatives among four hotels repeat one
+        cfg = tiny_config(n_neg=n_neg)
+        catalog, params, pair, _ = random_instance(0, cfg)
+        params.w_e[...] = 0.0
+        got = _loss(params, catalog, cfg, _hotels(pair, catalog))
+        assert got == pytest.approx((1 + n_neg) * math.log(2), abs=1e-12)
 
 
 def test_sgns_loss_hand_example():
-    v_t = np.array([1.0, 0.0])
-    got = sgns_loss(v_t, np.array([1.0, 0.0]), [np.array([0.0, 1.0])])
-    want = math.log(1 + math.exp(-1)) + math.log(2)
-    assert got == pytest.approx(want, abs=1e-12)
+    # v_t = v_ctx = (1, 0), v_neg = (0, 1)
+    got = _loss(*_hand_instance([[1, 0], [1, 0], [0, 1]]))
+    assert got == pytest.approx(math.log(1 + math.exp(-1)) + math.log(2), abs=1e-12)
     assert got == pytest.approx(1.006409, abs=1e-6)
 
 
 def test_sgns_loss_saturated_positive():
-    v_t = np.array([50.0, 0.0])
-    v_ctx = np.array([1.0, 0.0])
-    negs = [np.array([0.0, 1.0]), np.array([0.0, 2.0])]
-    assert sgns_loss(v_t, v_ctx, negs) == pytest.approx(2 * math.log(2), abs=1e-12)
+    # v_t = v_ctx = (50, 0), both negatives (0, 50)
+    got = _loss(*_hand_instance([[1, 0], [1, 0], [0, 1], [0, 1]], scale=50.0))
+    assert got == pytest.approx(2 * math.log(2), abs=1e-12)
 
 
 def test_sgns_loss_monotone_in_scores():
-    rng = np.random.default_rng(2)
-    v_ctx = rng.normal(size=4)
-    neg = rng.normal(size=4)
-    losses = [sgns_loss(t * v_ctx, v_ctx, [neg * 0]) for t in (0.1, 0.5, 1.0)]
-    assert losses[0] > losses[1] > losses[2]  # decreasing in the positive dot
+    # the negative's W_c row is zero, so only the positive dot s^2 moves
+    losses = [_loss(*_hand_instance([[0.6, 0.8], [0.6, 0.8], [0, 0]], scale=s))
+              for s in (0.1, 0.5, 1.0)]
+    assert losses[0] > losses[1] > losses[2]
 
 
 def test_sgns_loss_nonnegative():
-    rng = np.random.default_rng(3)
-    for _ in range(100):
-        vs = rng.normal(size=(4, 5))
-        assert sgns_loss(vs[0], vs[1], [vs[2], vs[3]]) >= 0
+    cfg = tiny_config(n_neg=2)
+    for seed in range(20):
+        catalog, params, pair, _ = random_instance(seed, cfg)
+        assert _loss(params, catalog, cfg, _hotels(pair, catalog)) >= 0
 
 
 def test_da_loss_examples():
-    v = np.array([3.0, 4.0])
-    zero = np.zeros(2)
-    assert da_loss(1.5, v, v, lam=2.0) == 1.5
-    assert da_loss(1.5, v, zero, lam=1.0, variant="norm") == pytest.approx(6.5)
-    assert da_loss(1.5, v, zero, lam=1.0, variant="squared_norm") == pytest.approx(26.5)
-    assert da_loss(1.5, v, zero, lam=0.0) == 1.5
-    with pytest.raises(ValueError):
-        da_loss(0.0, v, zero, 1.0, variant="nope")
+    # W_e = 0 embeds every hotel at 0, so ||V_target - V_source|| = 5
+    cfg = tiny_config(n_neg=2)
+    base = 3 * math.log(2)
+    catalog, params, pair, source = random_instance(1, cfg)
+    params.w_e[...] = 0.0
+    hotels = _hotels(pair, catalog)
+    source.vectors[pair.target] = np.array([3.0, 4.0, 0.0])
+    for variant, penalty in (("norm", 5.0), ("squared_norm", 25.0)):
+        for lam in (0.5, 2.0):
+            got = _loss(params, catalog, replace(cfg, lam=lam, reg_variant=variant),
+                        hotels, source)
+            assert got == pytest.approx(base + lam * penalty, abs=1e-12)
+    source.vectors[pair.target] = np.zeros(3)
+    assert _loss(params, catalog, replace(cfg, lam=2.0), hotels, source) == base
+    assert _loss(params, catalog, cfg, hotels) == base
 
 
 def test_da_loss_never_below_base():
+    cfg = tiny_config(n_neg=2)
     rng = np.random.default_rng(4)
-    for variant in ("norm", "squared_norm"):
-        for _ in range(50):
-            a, b = rng.normal(size=(2, 3))
-            assert da_loss(0.7, a, b, lam=rng.uniform(0, 2), variant=variant) >= 0.7
+    for seed in range(20):
+        catalog, params, pair, source = random_instance(seed, cfg)
+        hotels = _hotels(pair, catalog)
+        base = _loss(params, catalog, cfg, hotels)
+        for variant in ("norm", "squared_norm"):
+            reg = replace(cfg, lam=rng.uniform(0.01, 2), reg_variant=variant)
+            assert _loss(params, catalog, reg, hotels, source) >= base
 
 
 # ---------------------------------------------------------------------------
@@ -218,11 +234,6 @@ def test_gradients_match_finite_differences_partial_mapping():
     err = finite_difference_max_rel_err(pair, params, catalog, cfg,
                                         source_space=source, mapping=mapping)
     assert err < FD_TOL
-
-
-def _hotels(pair, catalog):
-    return tuple(catalog.index[h] for h in (pair.target, pair.context,
-                                            *pair.negatives))
 
 
 def test_gradients_untouched_rows_are_absent():
@@ -382,7 +393,7 @@ def test_train_without_pairs_is_an_error():
 
 # The integer-indexed trainer must reproduce the string-keyed per-pair loop
 # in tests/oracles.py bit for bit: same pairs, same negatives, same floats.
-REFERENCE_DIMS = dict(d_c=16, d_a=16, d_g=16, d=32)
+REFERENCE_DIMS = dict(sub_dim=16, d=32)
 REFERENCE_CASES = {
     "sgd": dict(),
     "sgd_l2": dict(l2_weight=1e-3),
@@ -392,8 +403,7 @@ REFERENCE_CASES = {
     "adam_l2_duplicate_negatives": dict(optimizer="adam", learning_rate=0.01,
                                         n_neg=3, l2_weight=1e-3),
     "duplicate_negatives": dict(n_neg=3),
-    # repro's sizes, where BLAS runs other kernels than at 4/3/2/8 and the
-    # equal widths take the one-einsum path of StepContext.block_dots
+    # repro's sizes, where BLAS runs other kernels than at 3/8
     "reference_dims_squared_norm_partial_mapping": dict(
         **REFERENCE_DIMS, lam=1.0, reg_variant="squared_norm", l2_weight=1e-6),
     "reference_dims_duplicate_negatives": dict(**REFERENCE_DIMS, n_neg=5),
@@ -408,7 +418,7 @@ REFERENCE_CASES = {
 def test_train_matches_reference_loop_bit_for_bit(case):
     world, sessions = _tiny_world()
     catalog = world.catalog
-    cfg = tiny_config(**{"d_c": 4, "d_a": 3, "d_g": 2, "d": 8, "epochs": 3,
+    cfg = tiny_config(**{"sub_dim": 3, "d": 8, "epochs": 3,
                          "seed": 5, **REFERENCE_CASES[case]})
     source = mapping = None
     if cfg.lam > 0:
@@ -466,8 +476,8 @@ def test_export_covers_catalog_and_matches_forward():
     assert set(space.vectors) == set(world.catalog.hotel_ids)
     assert space.dim == cfg.d
     for hid in world.catalog.hotel_ids:
-        assert np.array_equal(space.vectors[hid],
-                              enriched_embedding(hid, params, world.catalog))
+        want = straight_line_embedding(hid, params, world.catalog)
+        assert np.max(np.abs(space.vectors[hid] - want)) < 1e-12
     again = export_embeddings(params, world.catalog, brand="A")
     for hid in space.vectors:
         assert np.array_equal(space.vectors[hid], again.vectors[hid])
@@ -535,6 +545,11 @@ def test_read_embeddings_rejects_malformed_files(tmp_path):
         with pytest.raises(ValueError, match=r"bad4\.emb:4: non-finite"):
             read_embeddings(non_finite)
 
+    huge = tmp_path / "huge.emb"
+    huge.write_text("2 2\nh0 0.1 0.2\nh1 1e200 0.2\n")
+    with pytest.raises(DataError, match=r"huge\.emb:3: squared norm of 'h1' overflows"):
+        read_embeddings(huge)
+
     bad_dim = tmp_path / "bad5.emb"
     bad_dim.write_text("2 x\nh0 0.1 0.2\n")
     with pytest.raises(DataError, match=r"bad5\.emb:1: invalid literal for int"):
@@ -560,5 +575,5 @@ def test_init_params_seeded_and_in_range():
     b = init_params(catalog, cfg, factory)
     assert np.array_equal(a.w_c, b.w_c)
     assert np.array_equal(a.w_e, b.w_e)
-    assert np.max(np.abs(a.w_c)) <= 0.5 / cfg.d_c
-    assert np.max(np.abs(a.w_a)) <= 0.5 / cfg.d_a
+    assert np.max(np.abs(a.w_c)) <= 0.5 / cfg.sub_dim
+    assert np.max(np.abs(a.w_a)) <= 0.5 / cfg.sub_dim
