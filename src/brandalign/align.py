@@ -76,10 +76,15 @@ def fit_procrustes(s: np.ndarray, t: np.ndarray) -> ProjectionMatrix:
 
 
 def apply_projection(space: EmbeddingSpace, proj: ProjectionMatrix) -> EmbeddingSpace:
-    """Map every vector through W; the result is tagged as projected."""
+    """Map every vector through W; the result is tagged as projected. A
+    projected row whose squared norm overflows is rejected, naming the hotel."""
     if space.dim != proj.w.shape[0]:
         raise ValueError(f"space dim {space.dim} != projection rows {proj.w.shape[0]}")
-    vectors = {hid: v @ proj.w for hid, v in space.vectors.items()}
+    with np.errstate(over="ignore", invalid="ignore"):
+        vectors = {hid: v @ proj.w for hid, v in space.vectors.items()}
+        bad = next((h for h, v in vectors.items() if not np.isfinite(v @ v)), None)
+    if bad is not None:
+        raise ValueError(f"squared norm of projected {bad!r} overflows")
     return EmbeddingSpace(dim=proj.w.shape[1],
                           brand=f"{space.brand}-projected", vectors=vectors)
 

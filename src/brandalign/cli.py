@@ -161,7 +161,10 @@ def cmd_eval(args) -> int:
     space = model.read_embeddings(args.embeddings)
     if args.apply_projection:
         proj = align_mod.read_projection(args.apply_projection)
-        space = align_mod.apply_projection(space, proj)
+        try:
+            space = align_mod.apply_projection(space, proj)
+        except ValueError as exc:
+            raise DataError(f"{args.apply_projection}: {exc}") from None
     ks = tuple(args.k) if args.k else (10, 100)
     metadata = {"embeddings": args.embeddings, "mode": args.mode,
                 "pool": args.pool, "seed": args.seed, "split": args.split}

@@ -49,59 +49,11 @@ def make_events(sessions: SessionSet, catalog: HotelCatalog) -> list[PredictionE
     return events
 
 
-def event_pool(event: PredictionEvent, catalog: HotelCatalog,
-               pool: str = "market") -> set[str]:
-    """Candidate pool: the query's market (or the whole catalog) minus the query."""
-    if pool == "market":
-        members = catalog.markets[event.market_id]
-    elif pool == "global":
-        members = set(catalog.index)
-    else:
-        raise ValueError(f"unknown pool {pool!r}")
-    return members - {event.query}
-
-
-def _score_block(matrix: np.ndarray, norms: np.ndarray, present: np.ndarray,
-                 v_q: np.ndarray, mode: str) -> np.ndarray:
-    dots = matrix @ v_q
-    if mode == "model":
-        return dots
-    if mode != "cosine":
+def _check_options(mode: str, pool: str):
+    if mode not in ("cosine", "model"):
         raise ValueError(f"unknown mode {mode!r}")
-    q_norm = float(np.linalg.norm(v_q))
-    scores = np.zeros_like(dots)
-    if q_norm > 0:
-        nz = present & (norms > 0)
-        scores[nz] = dots[nz] / (norms[nz] * q_norm)
-    return scores
-
-
-def rank_candidates(event: PredictionEvent, space: EmbeddingSpace,
-                    catalog: HotelCatalog, mode: str = "cosine",
-                    pool: str = "market",
-                    lookup=None) -> list[str]:
-    """Full candidate ordering: descending score, ties by ascending hotel id,
-    candidates without an embedding at the end (also by ascending id)."""
-    get = lookup if lookup is not None else space.vectors.get
-    v_q = get(event.query)
-    if v_q is None:
-        raise ValueError(f"query hotel {event.query!r} missing from space")
-    candidates = sorted(event_pool(event, catalog, pool))
-    present, missing = [], []
-    for c in candidates:
-        v = get(c)
-        if v is None:
-            missing.append(c)
-        else:
-            present.append((c, v))
-    if present:
-        matrix = np.stack([v for _, v in present])
-        norms = np.linalg.norm(matrix, axis=1)
-        scores = _score_block(matrix, norms, np.ones(len(present), bool), v_q, mode)
-    else:
-        scores = np.zeros(0)
-    ordered = sorted(range(len(present)), key=lambda i: (-scores[i], present[i][0]))
-    return [present[i][0] for i in ordered] + missing
+    if pool not in ("market", "global"):
+        raise ValueError(f"unknown pool {pool!r}")
 
 
 class _MarketCache:
@@ -127,28 +79,51 @@ class _MarketCache:
 _BLOCK_CELLS = 2 ** 14  # score cells (queries x candidates) per block: 128 KB
 
 
-def _pool_ranks(cache: _MarketCache, q_pos, t_pos, mode: str):
-    """Truth ranks of events given as pool positions. Each distinct query is
-    scored once, and a stable sort orders its scored candidates by descending
-    score, ties by ascending position: an event's rank is its truth's place,
-    less the query's. A truth without an embedding follows them, by position."""
+def _orders(cache: _MarketCache, queries, mode: str) -> np.ndarray:
+    """Each query's scored pool positions (its own among them) in rank
+    order: descending score, ties by ascending position, by a stable sort."""
     present = cache.present
     cols = np.flatnonzero(present)
-    ranks = len(cols) - 1 + np.cumsum(~present)[t_pos]
+    scores = np.matmul(cache.matrix[None], cache.matrix[queries][:, :, None])[:, :, 0]
+    if mode == "cosine":
+        qn = cache.q_norms[queries][:, None]
+        scores = np.divide(scores, cache.norms * qn, out=np.zeros_like(scores),
+                           where=present & (cache.norms > 0) & (qn > 0))
+    return cols[np.argsort(-scores[:, cols], axis=1, kind="stable")]
+
+
+def rank_candidates(event: PredictionEvent, space: EmbeddingSpace,
+                    catalog: HotelCatalog, mode: str = "cosine",
+                    pool: str = "market",
+                    lookup=None) -> list[str]:
+    """Full candidate ordering, the batched ranker's own for this event:
+    descending score, ties by ascending hotel id, candidates without an
+    embedding at the end (also by ascending id)."""
+    _check_options(mode, pool)
+    cache = _MarketCache(catalog, event.market_id, lookup or space.vectors.get,
+                         space.dim, pool)
+    q = cache.pos[event.query]
+    if not cache.present[q]:
+        raise ValueError(f"query hotel {event.query!r} missing from space")
+    ids = cache.ids
+    return ([ids[i] for i in _orders(cache, np.array([q]), mode)[0] if i != q]
+            + [ids[i] for i in np.flatnonzero(~cache.present)])
+
+
+def _pool_ranks(cache: _MarketCache, q_pos, t_pos, mode: str):
+    """Truth ranks of events given as pool positions. Each distinct query is
+    ordered once by _orders: an event's rank is its truth's place, less the
+    query's. A truth without an embedding follows them, by position."""
+    present = cache.present
+    n_scored = int(np.count_nonzero(present))
+    ranks = n_scored - 1 + np.cumsum(~present)[t_pos]
     scored = np.flatnonzero(present[t_pos])
     queries, which = np.unique(q_pos[scored], return_inverse=True)
     step = max(1, _BLOCK_CELLS // len(present))
     for lo in range(0, len(queries), step):
-        qb = queries[lo:lo + step]
-        # one gemv per query: bit-identical to _score_block's matrix @ v_q
-        scores = np.matmul(cache.matrix[None], cache.matrix[qb][:, :, None])[:, :, 0]
-        if mode == "cosine":
-            qn = cache.q_norms[qb][:, None]
-            scores = np.divide(scores, cache.norms * qn, out=np.zeros_like(scores),
-                               where=present & (cache.norms > 0) & (qn > 0))
-        order = cols[np.argsort(-scores[:, cols], axis=1, kind="stable")]
-        place = np.empty(scores.shape, np.intp)  # pool position -> place in order
-        np.put_along_axis(place, order, np.arange(len(cols)), axis=1)
+        order = _orders(cache, queries[lo:lo + step], mode)
+        place = np.empty((len(order), len(present)), np.intp)  # position -> place
+        np.put_along_axis(place, order, np.arange(n_scored), axis=1)
         block = which // step == lo // step
         ev, rows = scored[block], which[block] - lo
         p_t = place[rows, t_pos[ev]]
@@ -161,13 +136,13 @@ def _event_ranks(events, catalog: HotelCatalog, get, dim: int, mode: str,
                  skip_missing_query: bool = False, pool: str = "market"):
     """Rank of the truth for every evaluated event (1-based).
 
-    Returns (ranks, skipped_count, missing_candidate_count). Ranks computed
-    here agree with rank_candidates: descending score, ties by ascending id,
-    candidates without an embedding after all scored ones (by ascending id).
+    Returns (ranks, skipped_count, missing_candidate_count). A rank is the
+    truth's place in rank_candidates' order, which reads the same _orders:
+    descending score, ties by ascending id, candidates without an embedding
+    after all scored ones (by ascending id).
     A truth outside the pool (a click into another market) misses: rank inf.
     """
-    if mode not in ("cosine", "model"):
-        raise ValueError(f"unknown mode {mode!r}")
+    _check_options(mode, pool)
     slots: dict[str, list[int]] = {}  # pool key -> event indices, input order
     for i, ev in enumerate(events):
         slots.setdefault(ev.market_id if pool == "market" else "", []).append(i)

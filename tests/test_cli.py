@@ -464,6 +464,26 @@ def test_eval_overflowing_embedding_norm_is_runtime_error(world_dir, trained,
     assert "Traceback" not in err and len(err.strip().splitlines()) == 1
 
 
+def test_eval_overflowing_projected_norm_is_runtime_error(world_dir, trained,
+                                                          tmp_path, capsys):
+    # a finite projection that maps finite rows to overflowing ones scored
+    # NaN cosines, warned five times and exited 0
+    a_emb, _ = trained
+    rows = [line.split() for line in open(a_emb).read().splitlines()[1:]]
+    first = next(r[0] for r in rows if any(float(x) for x in r[1:]))
+    proj_path = tmp_path / "big.proj"
+    with open(proj_path, "w") as fh:
+        fh.write("8 8 least_squares\n")
+        for row in np.eye(8) * 1e200:
+            fh.write(" ".join(repr(float(x)) for x in row) + "\n")
+    rc = main(eval_args(world_dir, a_emb, "A", tmp_path / "x.jsonl",
+                        "--apply-projection", str(proj_path)))
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"big.proj: squared norm of projected {first!r} overflows" in err
+    assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+
+
 @pytest.mark.parametrize("which, text", [
     ("embeddings", "2 x\nh0 0.1 0.2\n"),
     ("projection", "8 8 orthogonal\n"),

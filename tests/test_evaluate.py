@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from brandalign.data import BrandMapping
 from brandalign.evaluate import (_BLOCK_CELLS, MetricsReport, PredictionEvent,
                                  _event_ranks, _MarketCache, cross_brand_evaluate,
-                                 evaluate, event_pool, hits_at_k, make_events,
+                                 evaluate, hits_at_k, make_events,
                                  mrr_at_k, rank_candidates, write_metrics)
 from brandalign.model import EmbeddingSpace
 from conftest import make_catalog, make_sessions
@@ -24,7 +24,7 @@ def space_of(catalog, vectors, brand="B", dim=None):
 
 
 # ---------------------------------------------------------------------------
-# make_events / event_pool
+# make_events
 
 def test_make_events_consecutive_pairs():
     catalog = make_catalog({"m0": ["A", "B", "C"]})
@@ -47,13 +47,35 @@ def test_make_events_single_click_session_contributes_nothing():
     assert make_events(sessions, catalog) == []
 
 
-def test_event_pool_is_market_minus_query():
+def test_pool_is_the_market_or_the_catalog_minus_the_query():
+    # every hotel ties, so candidates keep ascending id order
     catalog = make_catalog({"m0": ["A", "B", "C"], "m1": ["D"]})
+    space = space_of(catalog, {h: [1.0, 0.0] for h in "ABCD"})
     ev = PredictionEvent("A", "B", "m0")
-    assert event_pool(ev, catalog) == {"B", "C"}
-    assert event_pool(ev, catalog, pool="global") == {"B", "C", "D"}
-    with pytest.raises(ValueError, match="pool"):
-        event_pool(ev, catalog, pool="universe")
+    assert rank_candidates(ev, space, catalog) == ["B", "C"]
+    assert rank_candidates(ev, space, catalog, pool="global") == ["B", "C", "D"]
+    sessions = make_sessions("X", [["A", "B"], ["A", "D"]], catalog)
+    market = evaluate(sessions, space, catalog, ks=(1, 3))
+    assert (market.hits(1, "cosine", "in_brand"), market.hits(3, "cosine", "in_brand"),
+            market.metadata["truth_outside_pool"]) == (0.5, 0.5, 1)
+    spanning = evaluate(sessions, space, catalog, ks=(1, 3), pool="global")
+    assert spanning.hits(3, "cosine", "in_brand") == 1.0
+    assert spanning.mrr(3, "cosine", "in_brand") == (1 + 1 / 3) / 2
+
+
+def test_unknown_pool_raises_from_every_entry_point():
+    catalog = make_catalog({"m0": ["A", "B"]})
+    space = space_of(catalog, {"A": [1.0], "B": [2.0]})
+    sessions = make_sessions("X", [["A", "B"]], catalog)
+    mapping = BrandMapping({"A": "A", "B": "B"})
+    for call in (
+            lambda: rank_candidates(PredictionEvent("A", "B", "m0"), space, catalog,
+                                    pool="universe"),
+            lambda: evaluate(sessions, space, catalog, pool="universe"),
+            lambda: cross_brand_evaluate(sessions, space, mapping, catalog,
+                                         pool="universe")):
+        with pytest.raises(ValueError, match=r"^unknown pool 'universe'$"):
+            call()
 
 
 # ---------------------------------------------------------------------------
@@ -424,6 +446,26 @@ def test_event_ranks_keep_input_order_across_interleaved_markets():
             assert (_event_ranks(*args, skip_missing_query=True, pool=pool)
                     == reference_event_ranks(*args, skip_missing_query=True,
                                              pool=pool))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_rank_candidates_is_the_order_event_ranks_read(seed):
+    # pools of 203 hotels x 32 dims copied from 8 rows: exact ties everywhere,
+    # which a gemv's position-dependent last bits must not break differently
+    rng = np.random.default_rng(seed)
+    markets = {f"m{i}": [f"m{i}h{j:03d}" for j in range(203)] for i in range(2)}
+    catalog = make_catalog(markets, seed=seed)
+    rows = rng.normal(size=(8, 32))
+    space = space_of(catalog, {h: rows[rng.integers(8)].copy()
+                               for h in catalog.hotel_ids})
+    events = [PredictionEvent(q, t, m) for m, ids in markets.items()
+              for q, t in rng.choice(ids, size=(10, 2)) if q != t]
+    for mode in ("cosine", "model"):
+        for pool in ("market", "global"):
+            ranks, _, _ = _event_ranks(events, catalog, space.vectors.get, 32,
+                                       mode, pool=pool)
+            assert [rank_candidates(ev, space, catalog, mode=mode, pool=pool)
+                    .index(ev.truth) + 1 for ev in events] == ranks
 
 
 def test_cosine_query_norms_equal_the_one_vector_norm_bit_for_bit():
