@@ -11,6 +11,7 @@ File formats (all UTF-8):
 import json
 import warnings
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -85,6 +86,7 @@ class HotelCatalog:
             raise DataError("empty catalog")
         self.hotels = list(hotels)
         self.index: dict[str, int] = {}  # hotel id -> row, the shared id order
+        self.hotel_market: dict[str, str] = {}  # hotel id -> market id
         self.markets: dict[str, set[str]] = {}
         first = self.hotels[0]
         for row, h in enumerate(self.hotels):
@@ -94,6 +96,7 @@ class HotelCatalog:
             if problem:
                 raise CatalogError(row, f"hotel {h.hotel_id!r}: {problem}")
             self.index[h.hotel_id] = row
+            self.hotel_market[h.hotel_id] = h.market_id
             self.markets.setdefault(h.market_id, set()).add(h.hotel_id)
         self.amenity_dim = len(first.amenities)
         self.geo_dim = len(first.geo)
@@ -115,7 +118,10 @@ class HotelCatalog:
             raise DataError(f"unknown hotel_id {hotel_id!r}") from None
 
     def market_of(self, hotel_id: str) -> str:
-        return self.record(hotel_id).market_id
+        try:
+            return self.hotel_market[hotel_id]
+        except KeyError:
+            raise DataError(f"unknown hotel_id {hotel_id!r}") from None
 
     def market_list(self, market_id: str) -> tuple[str, ...]:
         """Members of a market in ascending id order (cached)."""
@@ -124,8 +130,7 @@ class HotelCatalog:
         return self._market_lists[market_id]
 
 
-@dataclass(frozen=True)
-class ClickSession:
+class ClickSession(NamedTuple):
     session_id: str
     brand: str
     market_id: str
@@ -166,15 +171,34 @@ class BrandMapping:
         return self._inverse.get(target_id)
 
 
+_raw_decode = json.JSONDecoder().raw_decode
+
+
+def _loads(line: str):
+    """json.loads(line) for a stripped line, in one raw_decode call; json.loads
+    itself runs only on a line that raw_decode rejects or does not consume,
+    to raise its own error ("Extra data", a BOM, ...)."""
+    try:
+        obj, end = _raw_decode(line)
+        if end == len(line):
+            return obj
+    except json.JSONDecodeError:
+        pass
+    return json.loads(line)
+
+
 def _parse_lines(path):
+    """(line number, JSON value) of each non-blank line; a malformed line, or
+    one nested deeper than the recursion limit, is a DataError naming path
+    and line."""
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                yield lineno, json.loads(line)
-            except json.JSONDecodeError as exc:
+                yield lineno, _loads(line)
+            except (json.JSONDecodeError, RecursionError) as exc:
                 raise DataError(f"{path}:{lineno}: malformed record: {exc}") from exc
 
 
@@ -200,30 +224,28 @@ def load_catalog(path) -> HotelCatalog:
 
 def load_sessions(path, catalog: HotelCatalog, brand: str) -> SessionSet:
     sessions, outside = [], []  # clicks outside their session's market
+    markets, market_of = catalog.markets, catalog.hotel_market
     for lineno, obj in _parse_lines(path):
         try:
             if not isinstance(obj["clicks"], list):
                 raise TypeError(f"clicks must be a list of hotel ids, got "
                                 f"{type(obj['clicks']).__name__}")
-            session = ClickSession(
-                session_id=str(obj["session_id"]),
-                brand=str(obj["brand"]),
-                market_id=str(obj["market_id"]),
-                clicks=tuple(str(c) for c in obj["clicks"]),
-            )
+            session = ClickSession(str(obj["session_id"]), str(obj["brand"]),
+                                   str(obj["market_id"]), tuple(map(str, obj["clicks"])))
         except (KeyError, TypeError) as exc:
             raise DataError(f"{path}:{lineno}: bad session record: {exc}") from exc
         if not session.clicks:
             raise DataError(f"{path}:{lineno}: session {session.session_id!r} has no clicks")
-        for c in session.clicks:
-            if c not in catalog:
-                raise DataError(
-                    f"{path}:{lineno}: session {session.session_id!r} references "
-                    f"unknown hotel {c!r}")
-            if catalog.market_of(c) != session.market_id:
-                outside.append(
-                    f"{path}:{lineno}: session {session.session_id!r} click {c!r} "
-                    f"is outside market {session.market_id!r}")
+        if not markets.get(session.market_id, set()).issuperset(session.clicks):
+            for c in session.clicks:  # an unknown hotel, or clicks in other markets
+                if c not in market_of:
+                    raise DataError(
+                        f"{path}:{lineno}: session {session.session_id!r} references "
+                        f"unknown hotel {c!r}")
+                if market_of[c] != session.market_id:
+                    outside.append(
+                        f"{path}:{lineno}: session {session.session_id!r} click {c!r} "
+                        f"is outside market {session.market_id!r}")
         if session.brand != brand:
             raise DataError(
                 f"{path}:{lineno}: session {session.session_id!r} has brand "

@@ -38,7 +38,7 @@ class MetricsReport:
 
 
 def make_events(sessions: SessionSet, catalog: HotelCatalog) -> list[PredictionEvent]:
-    market_of = {h.hotel_id: h.market_id for h in catalog.hotels}
+    market_of = catalog.hotel_market
     events = []
     for s in sessions.sessions:
         for a, b in zip(s.clicks, s.clicks[1:]):

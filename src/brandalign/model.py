@@ -395,7 +395,7 @@ def write_embeddings(space: EmbeddingSpace, path):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{len(space.vectors)} {space.dim}\n")
         for hid in sorted(space.vectors):
-            coords = " ".join(repr(float(x)) for x in space.vectors[hid])
+            coords = " ".join(map(repr, space.vectors[hid].tolist()))
             fh.write(f"{hid} {coords}\n")
 
 

@@ -5,10 +5,12 @@ duplicating none of the library's code paths: a second forward pass for the
 enriched embedding, the per-hotel export the batched one must reproduce bit
 for bit, a finite-difference gradient checker, a brute-force ranking-metric
 calculator, the per-event ranking loop the blocked ranker must reproduce
-exactly, and the string-keyed per-pair training loop the integer-indexed
-trainer must reproduce bit for bit.
+exactly, the string-keyed per-pair training loop the integer-indexed
+trainer must reproduce bit for bit, and a json.loads-per-line session
+loader the one-pass one must agree with.
 """
 
+import json
 import math
 from dataclasses import replace
 
@@ -472,3 +474,53 @@ def reference_train(train_sessions, catalog, cfg, source_space=None,
             step += 1
         epoch_losses.append(loss_sum / n_pairs)
     return params, epoch_losses
+
+
+# ---------------------------------------------------------------------------
+# session files: one json.loads per line, every click checked one by one
+
+def reference_load_sessions(path, hotel_market: dict, brand: str):
+    """(sessions, warning) of a session file, as load_sessions read it
+    before its one-pass fast path: sessions are plain (session_id, brand,
+    market_id, clicks) tuples, warning is the one warning's text or None.
+    hotel_market maps each catalog hotel id to its market id. A bad file
+    raises ValueError with load_sessions' message."""
+    sessions, outside = [], []
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            where = f"{path}:{lineno}"
+            try:
+                obj = json.loads(line)
+            except (json.JSONDecodeError, RecursionError) as exc:
+                raise ValueError(f"{where}: malformed record: {exc}") from None
+            try:
+                if not isinstance(obj["clicks"], list):
+                    raise TypeError(f"clicks must be a list of hotel ids, got "
+                                    f"{type(obj['clicks']).__name__}")
+                session_id = str(obj["session_id"])
+                session_brand = str(obj["brand"])
+                market_id = str(obj["market_id"])
+                clicks = tuple(str(c) for c in obj["clicks"])
+            except (KeyError, TypeError) as exc:
+                raise ValueError(f"{where}: bad session record: {exc}") from None
+            if not clicks:
+                raise ValueError(f"{where}: session {session_id!r} has no clicks")
+            for c in clicks:
+                if c not in hotel_market:
+                    raise ValueError(f"{where}: session {session_id!r} references "
+                                     f"unknown hotel {c!r}")
+                if hotel_market[c] != market_id:
+                    outside.append(f"{where}: session {session_id!r} click {c!r} "
+                                   f"is outside market {market_id!r}")
+            if session_brand != brand:
+                raise ValueError(f"{where}: session {session_id!r} has brand "
+                                 f"{session_brand!r}, expected {brand!r}")
+            sessions.append((session_id, session_brand, market_id, clicks))
+    warning = None
+    if outside:
+        warning = (f"{outside[0]} ({len(outside)} click(s) in this file are "
+                   f"outside their session's market)")
+    return sessions, warning

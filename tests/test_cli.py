@@ -504,6 +504,21 @@ def test_eval_malformed_input_names_the_file(world_dir, trained, tmp_path, capsy
     assert "Traceback" not in err and len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("which", ["sessions", "catalog"])
+def test_eval_record_nested_past_the_recursion_limit_is_one_line(
+        world_dir, trained, tmp_path, capsys, which):
+    # json's RecursionError used to escape as a traceback
+    a_emb, _ = trained
+    deep = tmp_path / f"deep_{which}.jsonl"
+    deep.write_text("[" * 200_000 + "\n")
+    args = eval_args(world_dir, a_emb, "A", tmp_path / "x.jsonl")
+    args[args.index(f"--{which}") + 1] = str(deep)
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {deep}:1: malformed record: ")
+    assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+
+
 def test_eval_missing_embeddings_file(world_dir, tmp_path):
     rc = main(eval_args(world_dir, str(tmp_path / "no.emb"), "A",
                         tmp_path / "x.jsonl"))

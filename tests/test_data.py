@@ -3,13 +3,14 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from brandalign.data import (BrandMapping, DataError, HotelCatalog, HotelRecord,
-                             load_catalog, load_mapping, load_sessions,
-                             split_sessions, split_sizes)
+from brandalign.data import (BrandMapping, ClickSession, DataError, HotelCatalog,
+                             HotelRecord, SessionSet, load_catalog, load_mapping,
+                             load_sessions, split_sessions, split_sizes)
 from conftest import make_catalog, make_sessions
+from oracles import reference_load_sessions
 
 
 def _write_lines(path, objs):
@@ -210,6 +211,105 @@ def test_load_sessions_warns_once_per_file_for_outside_market_clicks(tmp_path,
     assert [str(w.message) for w in caught] == [
         f"{path}:2: session 's1' click 'h3' is outside market 'm0' "
         f"(3 click(s) in this file are outside their session's market)"]
+
+
+def test_load_sessions_first_error_and_warning_text_are_pinned(tmp_path, catalog6):
+    # an out-of-market click, a market the catalog lacks, an unknown hotel
+    lines = [_session_obj("s0", ["h0", "h3"]),
+             _session_obj("s1", ["h1", "h2"], market="mZ"),
+             _session_obj("s2", ["h4", "Z9", "h5"], market="m1")]
+    path = tmp_path / "sessions.jsonl"
+    _write_lines(path, lines)
+    with pytest.raises(DataError) as caught:
+        load_sessions(path, catalog6, "A")
+    assert str(caught.value) == f"{path}:3: session 's2' references unknown hotel 'Z9'"
+    _write_lines(path, lines[:2])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        load_sessions(path, catalog6, "A")
+    assert [str(w.message) for w in caught] == [
+        f"{path}:1: session 's0' click 'h3' is outside market 'm0' "
+        f"(3 click(s) in this file are outside their session's market)"]
+
+
+# ids "7" and "8" are what the int clicks 7 and 8 read as
+_ORACLE_CATALOG = make_catalog({"m0": ["h0", "h1", "7"], "m1": ["h3", "8"]})
+_CLICKS = ["h0", "h1", "7", "h0", "h1", "7", "h3", "8", 7, 8, "Z9", 12,
+           float("nan")]
+_PADDING = ["", " ", "\t", "\x0c", "\u3000"]
+
+
+@st.composite
+def _session_line(draw) -> str:
+    """A line of a session file: mostly a record, sometimes mangled."""
+    kind = draw(st.sampled_from(["record"] * 6 + ["value", "blank", "deep"]))
+    if kind == "blank":
+        return draw(st.sampled_from(_PADDING))
+    if kind == "deep":  # nested past the recursion limit
+        return "[" * 5000
+    if kind == "value":
+        text = json.dumps(draw(st.sampled_from([5, "x", None, [], [1], {}, 1.5])))
+    else:
+        obj = {"session_id": draw(st.one_of(st.sampled_from(["s0", "s1"]),
+                                            st.integers(-3, 3), st.just(float("nan")))),
+               "brand": draw(st.sampled_from(["A", "A", "A", "B"])),
+               "market_id": draw(st.sampled_from(["m0", "m0", "m1", "mX"])),
+               "clicks": draw(st.one_of(st.lists(st.sampled_from(_CLICKS), max_size=4),
+                                        st.sampled_from(["h0", 5, None, {"h0": 1}])))}
+        if draw(st.integers(0, 9)) == 0:
+            del obj[draw(st.sampled_from(sorted(obj)))]
+        text = json.dumps(obj)
+    mangle = draw(st.sampled_from(["none"] * 5 + ["truncate", "garbage", "twice",
+                                                  "bom", "pad"]))
+    if mangle == "truncate":
+        text = text[:draw(st.integers(0, len(text) - 1))]
+    elif mangle == "garbage":
+        text += draw(st.sampled_from([" x", "}", "]", ",", " 1", "  null", "\x0c{"]))
+    elif mangle == "twice":  # two objects on one line
+        text += draw(st.sampled_from(["", " ", "\t"])) + text
+    elif mangle == "bom":
+        text = "\ufeff" + text
+    elif mangle == "pad":
+        text = draw(st.sampled_from(_PADDING)) + text + draw(st.sampled_from(_PADDING))
+    return text
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(lines=st.lists(_session_line(), min_size=1, max_size=6))
+def test_load_sessions_agrees_with_the_line_by_line_oracle(tmp_path, lines):
+    path = tmp_path / "sessions.jsonl"
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    hotel_market = {h.hotel_id: h.market_id for h in _ORACLE_CATALOG.hotels}
+    try:
+        sessions, warning = reference_load_sessions(path, hotel_market, "A")
+    except ValueError as exc:
+        with pytest.raises(DataError) as caught:
+            load_sessions(path, _ORACLE_CATALOG, "A")
+        assert str(caught.value) == str(exc)
+        return
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        loaded = load_sessions(path, _ORACLE_CATALOG, "A")
+    assert [tuple(s) for s in loaded.sessions] == sessions
+    assert [str(w.message) for w in caught] == ([warning] if warning else [])
+
+
+# ---------------------------------------------------------------------------
+# sessions
+
+def test_click_session_is_a_named_tuple():
+    s = ClickSession("s0", "A", "m0", ("h0", "h1"))
+    assert ClickSession._fields == ("session_id", "brand", "market_id", "clicks")
+    assert (s.session_id, s.brand, s.market_id, s.clicks) == ("s0", "A", "m0", ("h0", "h1"))
+    assert s == ("s0", "A", "m0", ("h0", "h1"))
+
+
+def test_session_set_rejects_a_session_of_another_brand():
+    sessions = [ClickSession("s0", "A", "m0", ("h0",)),
+                ClickSession("s1", "B", "m0", ("h0",))]
+    with pytest.raises(DataError, match=r"^session 's1' has brand 'B', expected 'A'$"):
+        SessionSet("A", sessions)
 
 
 # ---------------------------------------------------------------------------

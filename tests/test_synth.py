@@ -211,6 +211,19 @@ def test_writers_roundtrip(tmp_path):
     assert mapping.pairs == world.mapping.pairs
 
 
+def test_loaded_sessions_write_back_byte_identical(tmp_path):
+    cfg = tiny_cfg(n_markets=3, hotels_per_market=8, n_sessions_per_brand=300,
+                   session_length=(2, 6))
+    world = generate_world(cfg)
+    sset = generate_sessions(world, "B", cfg)
+    first, second = tmp_path / "first.jsonl", tmp_path / "second.jsonl"
+    write_sessions(sset, first)
+    loaded = load_sessions(first, world.catalog, brand="B")
+    assert loaded.sessions == sset.sessions
+    write_sessions(loaded, second)
+    assert second.read_bytes() == first.read_bytes()
+
+
 def test_world_meta_contents(tmp_path):
     cfg = tiny_cfg()
     p = tmp_path / "world-meta.json"
