@@ -15,8 +15,7 @@ from .model import (EmbeddingSpace, ModelParams, TrainConfig,
 from .align import (ProjectionMatrix, apply_projection, common_rows,
                     fit_linear_projection, fit_procrustes)
 from .evaluate import (MetricsReport, PredictionEvent, cross_brand_evaluate,
-                       evaluate, hits_at_k, make_events, mrr_at_k,
-                       rank_candidates)
+                       hits_at_k, make_events, mrr_at_k, rank_candidates)
 from .synth import World, WorldConfig, generate_sessions, generate_world
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -10,8 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import BrandMapping, DataError, check_finite, parse_numbers
-from .model import EmbeddingSpace
+from .data import BrandMapping, DataError, check_finite, open_text, parse_numbers
+from .model import EmbeddingSpace, _row_products
 
 
 @dataclass
@@ -24,25 +24,19 @@ class ProjectionMatrix:
 
 def common_rows(source: EmbeddingSpace, target: EmbeddingSpace,
                 mapping: BrandMapping):
-    """Stack the vectors of mapped hotels present in both spaces.
+    """Gather the rows of mapped hotels present in both spaces.
 
     Returns (S, T, ids, excluded_count); rows follow ascending source id.
     """
     if len(mapping) == 0:
         raise ValueError("empty mapping: no common rows")
-    s_rows, t_rows, ids = [], [], []
-    excluded = 0
-    for src_id in sorted(mapping.pairs):
-        tgt_id = mapping.pairs[src_id]
-        if src_id in source.vectors and tgt_id in target.vectors:
-            s_rows.append(source.vectors[src_id])
-            t_rows.append(target.vectors[tgt_id])
-            ids.append((src_id, tgt_id))
-        else:
-            excluded += 1
-    if not s_rows:
+    ids = [(s, t) for s, t in sorted(mapping.pairs.items())
+           if s in source.index and t in target.index]
+    if not ids:
         raise ValueError("zero common rows between the two spaces")
-    return np.stack(s_rows), np.stack(t_rows), ids, excluded
+    return (source.matrix[[source.index[s] for s, _ in ids]],
+            target.matrix[[target.index[t] for _, t in ids]],
+            ids, len(mapping) - len(ids))
 
 
 def fit_linear_projection(s: np.ndarray, t: np.ndarray) -> ProjectionMatrix:
@@ -76,17 +70,19 @@ def fit_procrustes(s: np.ndarray, t: np.ndarray) -> ProjectionMatrix:
 
 
 def apply_projection(space: EmbeddingSpace, proj: ProjectionMatrix) -> EmbeddingSpace:
-    """Map every vector through W; the result is tagged as projected. A
-    projected row whose squared norm overflows is rejected, naming the hotel."""
+    """Map every row through W, with the bits of each row's v @ W; the result
+    is tagged as projected. A projected row whose squared norm overflows is
+    rejected, naming the hotel."""
     if space.dim != proj.w.shape[0]:
         raise ValueError(f"space dim {space.dim} != projection rows {proj.w.shape[0]}")
     with np.errstate(over="ignore", invalid="ignore"):
-        vectors = {hid: v @ proj.w for hid, v in space.vectors.items()}
-        bad = next((h for h, v in vectors.items() if not np.isfinite(v @ v)), None)
-    if bad is not None:
-        raise ValueError(f"squared norm of projected {bad!r} overflows")
-    return EmbeddingSpace(dim=proj.w.shape[1],
-                          brand=f"{space.brand}-projected", vectors=vectors)
+        matrix = _row_products(space.matrix, proj.w)
+        # squared norms with the bits of each row's 1-D v @ v
+        bad = ~np.isfinite(np.matmul(matrix[:, None], matrix[:, :, None])[:, 0, 0])
+    if bad.any():
+        raise ValueError(f"squared norm of projected {space.ids[np.argmax(bad)]!r} "
+                         f"overflows")
+    return EmbeddingSpace(f"{space.brand}-projected", space.ids, matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -101,7 +97,7 @@ def write_projection(proj: ProjectionMatrix, path):
 
 
 def read_projection(path) -> ProjectionMatrix:
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         header = fh.readline().split()
         if len(header) != 3:
             raise ValueError(f"{path}: bad header")

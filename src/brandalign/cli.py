@@ -90,11 +90,10 @@ def cmd_gen(args) -> int:
 def _load_split(args, catalog):
     sessions = load_sessions(args.sessions, catalog, args.brand)
     if args.split == "none":
-        return sessions, None
-    ratios = _parse_ratios(args.ratios)
-    train_s, val_s, test_s = split_sessions(sessions, ratios, args.seed)
-    return {"train": train_s, "val": val_s, "test": test_s}[args.split], \
-        {"train": train_s, "val": val_s, "test": test_s}
+        return sessions
+    train_s, val_s, test_s = split_sessions(sessions, _parse_ratios(args.ratios),
+                                            args.seed)
+    return {"train": train_s, "val": val_s, "test": test_s}[args.split]
 
 
 def cmd_train(args) -> int:
@@ -133,7 +132,7 @@ def cmd_train(args) -> int:
                 fh.write(json.dumps(row, sort_keys=True) + "\n")
     if epoch_losses:
         print(f"final train loss (mean per pair, last epoch): {epoch_losses[-1]:.6f}")
-    print(f"wrote {len(space.vectors)} embeddings (dim {space.dim}) to {args.out}")
+    print(f"wrote {len(space.ids)} embeddings (dim {space.dim}) to {args.out}")
     return 0
 
 
@@ -157,7 +156,7 @@ def cmd_align(args) -> int:
 
 def cmd_eval(args) -> int:
     catalog = load_catalog(args.catalog)
-    sessions, _ = _load_split(args, catalog)
+    sessions = _load_split(args, catalog)
     space = model.read_embeddings(args.embeddings)
     if args.apply_projection:
         proj = align_mod.read_projection(args.apply_projection)

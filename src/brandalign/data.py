@@ -8,7 +8,9 @@ File formats (all UTF-8):
   mapping:  tab-separated `source_hotel_id<TAB>target_hotel_id`, no header
 """
 
+import contextlib
 import json
+import re
 import warnings
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -29,6 +31,21 @@ def parse_numbers(fields, cast, path, lineno: int) -> list:
         return [cast(x) for x in fields]
     except ValueError as exc:
         raise DataError(f"{path}:{lineno}: {exc}") from None
+
+
+@contextlib.contextmanager
+def open_text(path):
+    """path opened for reading as UTF-8 text. Invalid UTF-8 met while it is
+    read is a DataError naming the line; only then is the file read again,
+    with the bad bytes escaped, so that lines count as the reader counts them."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            with open(path, encoding="utf-8", errors="surrogateescape") as again:
+                lineno = next(i for i, line in enumerate(again, start=1)
+                              if re.search("[\udc80-\udcff]", line))
+            raise DataError(f"{path}:{lineno}: not UTF-8: {exc.reason}") from None
 
 
 def check_finite(matrix: np.ndarray, path, linenos: list[int]):
@@ -188,17 +205,17 @@ def _loads(line: str):
 
 
 def _parse_lines(path):
-    """(line number, JSON value) of each non-blank line; a malformed line, or
-    one nested deeper than the recursion limit, is a DataError naming path
-    and line."""
-    with open(path, encoding="utf-8") as fh:
+    """(line number, JSON value) of each non-blank line; a malformed line, one
+    nested deeper than the recursion limit or one holding an integer of more
+    digits than int() converts, is a DataError naming path and line."""
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
                 yield lineno, _loads(line)
-            except (json.JSONDecodeError, RecursionError) as exc:
+            except (ValueError, RecursionError) as exc:
                 raise DataError(f"{path}:{lineno}: malformed record: {exc}") from exc
 
 
@@ -260,7 +277,7 @@ def load_sessions(path, catalog: HotelCatalog, brand: str) -> SessionSet:
 def load_mapping(path, source_catalog: HotelCatalog | None = None,
                  target_catalog: HotelCatalog | None = None) -> BrandMapping:
     pairs, targets = {}, {}  # target -> its line
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line:

@@ -11,11 +11,12 @@ hotel's embedding to its source counterpart.
 
 import math
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
 from .data import (BrandMapping, DataError, HotelCatalog, SessionSet,
-                   check_finite, parse_numbers)
+                   check_finite, open_text, parse_numbers)
 from .pairs import TrainingPair, build_epoch_stream
 
 EPS_NORM = 1e-12
@@ -69,11 +70,17 @@ class ModelParams:
     w_e: np.ndarray  # 3 sub_dim x d
 
 
-@dataclass
 class EmbeddingSpace:
-    dim: int
-    brand: str
-    vectors: dict[str, np.ndarray]
+    """One brand's hotel vectors: row i of matrix is hotel ids[i]. dim, index
+    (id -> row) and vectors, a read-only id -> row view, are derived."""
+
+    def __init__(self, brand: str, ids, matrix: np.ndarray):
+        self.brand, self.ids, self.matrix = brand, tuple(ids), matrix
+        self.dim = matrix.shape[1]
+        self.index = {h: i for i, h in enumerate(self.ids)}
+        if not len(self.index) == len(self.ids) == len(matrix):
+            raise ValueError("hotel ids must be distinct, one per matrix row")
+        self.vectors = MappingProxyType(dict(zip(self.ids, matrix)))
 
 
 def _row_products(x: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -163,11 +170,11 @@ class StepContext:
         if i not in self.sources:
             target_id, space = self.ids[i], self.source_space
             src_id = target_id if self.mapping is None else self.mapping.to_source(target_id)
-            if src_id is not None and (space is None or src_id not in space.vectors):
+            if src_id is not None and (space is None or src_id not in space.index):
                 raise ValueError(
                     f"hotel {target_id!r} is mapped but source space has no vector "
                     f"for {src_id!r}")
-            self.sources[i] = None if src_id is None else space.vectors[src_id]
+            self.sources[i] = None if src_id is None else space.matrix[space.index[src_id]]
         return self.sources[i]
 
     def buffers(self, k: int) -> tuple:
@@ -383,9 +390,7 @@ def train(train_sessions: SessionSet, catalog: HotelCatalog, cfg: TrainConfig,
 def export_embeddings(params: ModelParams, catalog: HotelCatalog,
                       brand: str = "unknown") -> EmbeddingSpace:
     """Materialize the enriched embedding of every catalog hotel."""
-    matrix = _forward_rows(params, catalog)
-    return EmbeddingSpace(dim=params.w_e.shape[1], brand=brand,
-                          vectors=dict(zip(catalog.hotel_ids, matrix)))
+    return EmbeddingSpace(brand, catalog.hotel_ids, _forward_rows(params, catalog))
 
 
 # ---------------------------------------------------------------------------
@@ -393,21 +398,21 @@ def export_embeddings(params: ModelParams, catalog: HotelCatalog,
 
 def write_embeddings(space: EmbeddingSpace, path):
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{len(space.vectors)} {space.dim}\n")
-        for hid in sorted(space.vectors):
-            coords = " ".join(map(repr, space.vectors[hid].tolist()))
+        fh.write(f"{len(space.ids)} {space.dim}\n")
+        for hid in sorted(space.ids):
+            coords = " ".join(map(repr, space.matrix[space.index[hid]].tolist()))
             fh.write(f"{hid} {coords}\n")
 
 
 def read_embeddings(path, brand: str = "unknown") -> EmbeddingSpace:
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         header = fh.readline().split()
         if len(header) != 2:
             raise ValueError(f"{path}: bad header")
         count, dim = parse_numbers(header, int, path, 1)
         if dim < 1:
             raise DataError(f"{path}:1: dimension must be positive, got {dim}")
-        ids, coords, linenos = [], [], []
+        lines, coords = {}, []  # hotel id -> its line, in file order
         for lineno, line in enumerate(fh, start=2):
             parts = line.split()
             if not parts:
@@ -415,9 +420,11 @@ def read_embeddings(path, brand: str = "unknown") -> EmbeddingSpace:
             if len(parts) != dim + 1:
                 raise DataError(f"{path}:{lineno}: expected {dim} coordinates for "
                                 f"{parts[0]!r}, got {len(parts) - 1}")
-            ids.append(parts[0])
+            if lines.setdefault(parts[0], lineno) != lineno:
+                raise DataError(f"{path}:{lineno}: hotel {parts[0]!r} repeated "
+                                f"from line {lines[parts[0]]}")
             coords.append(parse_numbers(parts[1:], float, path, lineno))
-            linenos.append(lineno)
+    ids, linenos = list(lines), list(lines.values())
     matrix = np.array(coords, dtype=float).reshape(len(ids), dim)
     check_finite(matrix, path, linenos)
     with np.errstate(over="ignore"):
@@ -426,7 +433,6 @@ def read_embeddings(path, brand: str = "unknown") -> EmbeddingSpace:
         row = int(np.argmin(bounded))
         raise DataError(f"{path}:{linenos[row]}: squared norm of {ids[row]!r} "
                         f"overflows")
-    vectors = dict(zip(ids, matrix))
-    if len(vectors) != count:
-        raise ValueError(f"{path}: header count {count} != {len(vectors)} rows")
-    return EmbeddingSpace(dim=dim, brand=brand, vectors=vectors)
+    if len(ids) != count:
+        raise ValueError(f"{path}: header count {count} != {len(ids)} rows")
+    return EmbeddingSpace(brand, ids, matrix)

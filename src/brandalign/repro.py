@@ -206,15 +206,13 @@ def run_repro(out_dir, seed: int = 42, quick: bool = False,
                 "hits": cell["hits"], "mrr": cell["mrr"],
                 "n_events": cell["n_events"],
             })
-        return rep
 
-    reports = {}
     for name in ("single_source", "single_target", "lp_projected",
                  "da_lambda10", "da_lambda05"):
         for eval_brand in wcfg.brands:
-            reports[(name, eval_brand, "cosine")] = eval_space(name, eval_brand, "cosine")
+            eval_space(name, eval_brand, "cosine")
     for name in ("single_target", "da_lambda10"):
-        reports[(name, brand_tgt, "model")] = eval_space(name, brand_tgt, "model")
+        eval_space(name, brand_tgt, "model")
 
     closeness = {name: _mean_mapped_distance(spaces[name], src_space, mapping)
                  for name in ("single_target", "da_lambda10", "da_lambda05")}

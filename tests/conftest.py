@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from brandalign.data import ClickSession, HotelCatalog, HotelRecord, SessionSet
+from brandalign.model import EmbeddingSpace
 
 
 def make_catalog(markets: dict[str, list[str]], d_a: int = 2, d_g: int = 2,
@@ -28,6 +29,12 @@ def make_sessions(brand: str, clicks_lists, catalog: HotelCatalog) -> SessionSet
         for i, clicks in enumerate(clicks_lists)
     ]
     return SessionSet(brand=brand, sessions=sessions)
+
+
+def make_space(brand: str, vectors: dict, dim: int) -> EmbeddingSpace:
+    """The space of an id -> vector dict, which may be empty."""
+    matrix = np.array(list(vectors.values()), float).reshape(len(vectors), dim)
+    return EmbeddingSpace(brand, list(vectors), matrix)
 
 
 @pytest.fixture

@@ -20,7 +20,7 @@ from brandalign.data import BrandMapping
 from brandalign.evaluate import evaluate, make_events
 from brandalign.model import EmbeddingSpace, ModelParams, TrainConfig
 from brandalign.pairs import TrainingPair
-from conftest import make_catalog, make_sessions
+from conftest import make_catalog, make_sessions, make_space
 from oracles import brute_force_metrics, finite_difference_max_rel_err
 
 GRAD_TOL = 1e-4
@@ -53,8 +53,7 @@ def _grad_instance(seed, lam, variant, n_neg):
                         tuple(str(n) for n in negatives))
     source = mapping = None
     if lam > 0:
-        source = EmbeddingSpace(dim=3, brand="S", vectors={
-            h: np.abs(rng.normal(0, 0.5, 3)) for h in ids})
+        source = EmbeddingSpace("S", ids, np.abs(rng.normal(0, 0.5, (len(ids), 3))))
         # roughly half the instances leave the pair's target unmapped
         mapped = [h for h in ids if rng.random() < 0.5] or [str(target)]
         mapping = BrandMapping({h: h for h in mapped})
@@ -89,7 +88,7 @@ def test_criterion_2_metrics_match_brute_force_and_invariants():
                             "m1": [f"g{j}" for j in range(7)]}, seed=2)
     rng = np.random.default_rng(2)
     vectors = {h: rng.normal(size=4) for h in catalog.hotel_ids}
-    space = EmbeddingSpace(dim=4, brand="X", vectors=vectors)
+    space = make_space("X", vectors, 4)
     clicks = [["h0", "h3", "h5"], ["h1", "h2"], ["h7", "h0", "h4", "h6"],
               ["g0", "g1", "g2"], ["g3", "g4"], ["g6", "g5", "g0", "g1"],
               ["h2", "h6", "h1"], ["g2", "g6", "g4"], ["h4", "h7", "h2"],
@@ -127,7 +126,7 @@ def test_criterion_2_metrics_match_brute_force_and_invariants():
         sessions = make_sessions("X", sess_clicks, cat)
         if not make_events(sessions, cat):
             continue
-        sp = EmbeddingSpace(dim=3, brand="X", vectors=vecs)
+        sp = make_space("X", vecs, 3)
         mode = "cosine" if seed % 2 else "model"
         rep = evaluate(sessions, sp, cat, mode=mode, ks=(1, 3, 8))
         prev_h = prev_m = 0.0

@@ -24,9 +24,8 @@ def random_orthogonal(seed, d=4):
 
 
 def space_from(matrix, brand, prefix):
-    return EmbeddingSpace(dim=matrix.shape[1], brand=brand,
-                          vectors={f"{prefix}{i}": row
-                                   for i, row in enumerate(matrix)})
+    return EmbeddingSpace(brand, [f"{prefix}{i}" for i in range(len(matrix))],
+                          matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -207,6 +206,19 @@ def test_apply_projection_can_change_dimension():
     out = apply_projection(space, proj)
     assert out.dim == 5
     assert np.array_equal(out.vectors["s0"], np.full(5, 3.0))
+
+
+@pytest.mark.parametrize("fit, order", [(fit_linear_projection, "F_CONTIGUOUS"),
+                                        (fit_procrustes, "C_CONTIGUOUS")])
+def test_apply_projection_has_the_bits_of_each_rows_v_at_w(fit, order):
+    # repro's lp_projected rows are per-row v @ W; a 2-D matrix @ W takes
+    # another BLAS kernel and changes their last bits
+    s, t, _ = random_spaces(17, n=1000, d=32, noise=0.1)
+    proj = fit(s, t)
+    assert proj.w.flags[order]
+    out = apply_projection(space_from(s, "S", "s"), proj)
+    want = np.stack([v @ proj.w for v in s])
+    assert out.matrix.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -484,6 +484,41 @@ def test_eval_overflowing_projected_norm_is_runtime_error(world_dir, trained,
     assert "Traceback" not in err and len(err.strip().splitlines()) == 1
 
 
+def test_eval_repeated_hotel_in_embeddings_names_both_lines(world_dir, trained,
+                                                           tmp_path, capsys):
+    # the header count is raised to match, so only the repeat check rejects it
+    a_emb, _ = trained
+    lines = open(a_emb).read().splitlines()
+    count, dim = map(int, lines[0].split())
+    first = lines[1].split()[0]
+    lines[0] = f"{count + 1} {dim}"
+    lines.append(" ".join([first] + ["9.0"] * dim))
+    corrupt = tmp_path / "repeat.emb"
+    corrupt.write_text("\n".join(lines) + "\n")
+    rc = main(eval_args(world_dir, str(corrupt), "A", tmp_path / "x.jsonl"))
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {corrupt}:{count + 2}: hotel {first!r} repeated from line 2\n"
+
+
+@pytest.mark.parametrize("which, name", [("sessions", "sessions_A.jsonl"),
+                                         ("catalog", "catalog.jsonl")])
+def test_eval_integer_of_too_many_digits_names_the_line(world_dir, trained,
+                                                        tmp_path, capsys, which, name):
+    # json's int() raises a plain ValueError past 4,300 digits, not a
+    # JSONDecodeError
+    a_emb, _ = trained
+    big = tmp_path / name
+    first = (world_dir / name).read_text().splitlines()[0]
+    big.write_text(f'{first}\n{{"session_id": {"9" * 5000}}}\n')
+    args = eval_args(world_dir, a_emb, "A", tmp_path / "x.jsonl")
+    args[args.index(f"--{which}") + 1] = str(big)
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {big}:2: malformed record: Exceeds the limit")
+    assert len(err.strip().splitlines()) == 1
+
+
 @pytest.mark.parametrize("which, text", [
     ("embeddings", "2 x\nh0 0.1 0.2\n"),
     ("projection", "8 8 orthogonal\n"),

@@ -5,6 +5,7 @@ line on stderr. No exception may escape main()."""
 import contextlib
 import io
 import json
+import re
 import warnings
 
 import pytest
@@ -17,12 +18,15 @@ TRAIN = ["--dim", "4", "--sub-dim", "2", "--epochs", "1", "--n-neg", "1"]
 FILES = {"catalog": "catalog.jsonl", "sessions": "sessions_B.jsonl",
          "mapping": "mapping.tsv", "embeddings": "A.emb",
          "projection": "lp.proj"}
-# JSON values a field or a whole record is swapped for
+# an integer of more digits than json's int() converts
+DIGITS = "9" * 5000
+# JSON values a field or a whole record is swapped for; "<digits>" is
+# written as DIGITS, which json.dumps cannot write
 VALUES = [5, -1.5, "x", True, None, [], {}, [0.5], [[0.5, 0.5]],
-          float("nan"), 10 ** 400]
+          float("nan"), 10 ** 400, "<digits>"]
 # tokens a field of a text file is swapped for
 TOKENS = ["x", "", "NaN", "inf", "-1", "0", "2.5", "1e400", "h00000",
-          "9" * 30]
+          "9" * 30, DIGITS]
 
 
 def _run(argv) -> tuple[int, str]:
@@ -76,13 +80,17 @@ def world(tmp_path_factory):
 
 
 @st.composite
-def _corrupted(draw, text: str, kind: str) -> str:
+def _corrupted(draw, text: str, kind: str) -> bytes:
     lines = text.splitlines()
     op = draw(st.sampled_from(["field", "field", "nest", "drop_field",
                                "record", "drop_line", "repeat_line",
-                               "truncate"]))
+                               "truncate", "byte"]))
     if op == "truncate":
-        return text[:draw(st.integers(0, len(text) - 1))]
+        return text[:draw(st.integers(0, len(text) - 1))].encode()
+    if op == "byte":  # never valid UTF-8
+        raw = bytearray(text.encode())
+        raw[draw(st.integers(0, len(raw) - 1))] = 0xFF
+        return bytes(raw)
     i = draw(st.integers(0, len(lines) - 1))
     if op == "drop_line":
         del lines[i]
@@ -99,7 +107,7 @@ def _corrupted(draw, text: str, kind: str) -> str:
             del obj[key]
         else:
             obj = draw(st.sampled_from(VALUES))
-        lines[i] = json.dumps(obj)
+        lines[i] = json.dumps(obj).replace('"<digits>"', DIGITS)
     else:
         sep = "\t" if kind == "mapping" else " "
         fields = lines[i].split(sep)
@@ -111,7 +119,7 @@ def _corrupted(draw, text: str, kind: str) -> str:
         else:
             del fields[j]
         lines[i] = sep.join(fields)
-    return "\n".join(lines) + "\n"
+    return ("\n".join(lines) + "\n").encode()
 
 
 @pytest.mark.parametrize("kind", sorted(FILES))
@@ -122,7 +130,12 @@ def test_corrupted_input_ends_in_one_line_error_or_success(world, tmp_path,
                                                            kind, data):
     text = world[kind].read_text()
     bad = tmp_path / world[kind].name
-    bad.write_text(data.draw(_corrupted(text, kind)))
+    corrupted = data.draw(_corrupted(text, kind))
+    bad.write_bytes(corrupted)
+    # invalid UTF-8, or an integer json cannot convert, is always an error
+    # that names the file and line
+    names_line = b"\xff" in corrupted or (kind in ("catalog", "sessions")
+                                          and DIGITS.encode() in corrupted)
     paths = dict(world, **{kind: bad})
     for argv in _commands(paths, tmp_path):
         if bad not in argv:
@@ -130,3 +143,5 @@ def test_corrupted_input_ends_in_one_line_error_or_success(world, tmp_path,
         rc, err = _run(argv)
         assert rc == 0 or (rc in (1, 2) and len(err.strip().splitlines()) == 1), \
             (argv[0], rc, err)
+        if names_line:
+            assert re.match(rf"error: {re.escape(str(bad))}:\d+: ", err), (argv[0], err)

@@ -6,9 +6,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from brandalign.align import read_projection
 from brandalign.data import (BrandMapping, ClickSession, DataError, HotelCatalog,
                              HotelRecord, SessionSet, load_catalog, load_mapping,
                              load_sessions, split_sessions, split_sizes)
+from brandalign.model import read_embeddings
 from conftest import make_catalog, make_sessions
 from oracles import reference_load_sessions
 
@@ -310,6 +312,33 @@ def test_session_set_rejects_a_session_of_another_brand():
                 ClickSession("s1", "B", "m0", ("h0",))]
     with pytest.raises(DataError, match=r"^session 's1' has brand 'B', expected 'A'$"):
         SessionSet("A", sessions)
+
+
+# ---------------------------------------------------------------------------
+# invalid UTF-8 in any input file
+
+def _jsonl(objs) -> str:
+    return "".join(json.dumps(obj) + "\n" for obj in objs)
+
+
+@pytest.mark.parametrize("name, text, read", [
+    ("catalog.jsonl", _jsonl(_catalog_obj(f"h{i}") for i in range(3)), load_catalog),
+    ("sessions.jsonl", _jsonl(_session_obj(f"s{i}", ["h0", "h1"]) for i in range(3)),
+     lambda path: load_sessions(path, make_catalog({"m0": ["h0", "h1"]}), "A")),
+    ("mapping.tsv", "a1\tb1\na2\tb2\na3\tb3\n", load_mapping),
+    ("a.emb", "2 2\nh0 0.1 0.2\nh1 0.3 0.4\n", read_embeddings),
+    ("w.proj", "2 2 orthogonal\n1.0 0.0\n0.0 1.0\n", read_projection),
+], ids=["catalog", "sessions", "mapping", "embeddings", "projection"])
+@pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+def test_invalid_utf8_names_the_line(tmp_path, name, text, read, newline):
+    # the decoder's own message gives an offset into a read buffer
+    lines = text.replace("\n", newline).encode().split(b"\n")
+    lines[1] = lines[1][:3] + b"\xff" + lines[1][4:]
+    path = tmp_path / name
+    path.write_bytes(b"\n".join(lines))
+    with pytest.raises(DataError) as raised:
+        read(path)
+    assert str(raised.value) == f"{path}:2: not UTF-8: invalid start byte"
 
 
 # ---------------------------------------------------------------------------

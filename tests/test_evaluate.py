@@ -1,4 +1,5 @@
 import json
+import types
 
 import numpy as np
 import pytest
@@ -10,17 +11,20 @@ from brandalign.evaluate import (_BLOCK_CELLS, MetricsReport, PredictionEvent,
                                  _event_ranks, _MarketCache, cross_brand_evaluate,
                                  evaluate, hits_at_k, make_events,
                                  mrr_at_k, rank_candidates, write_metrics)
-from brandalign.model import EmbeddingSpace
-from conftest import make_catalog, make_sessions
+from conftest import make_catalog, make_sessions, make_space
 from oracles import brute_force_metrics, reference_event_ranks
 
 
 def space_of(catalog, vectors, brand="B", dim=None):
     dims = {len(v) for v in vectors.values()}
-    d = dim if dim is not None else dims.pop()
-    return EmbeddingSpace(dim=d, brand=brand,
-                         vectors={h: np.asarray(v, float)
-                                  for h, v in vectors.items()})
+    return make_space(brand, vectors, dim if dim is not None else dims.pop())
+
+
+def test_package_attribute_evaluate_is_the_module():
+    import brandalign
+    from brandalign import evaluate as imported
+    assert isinstance(brandalign.evaluate, types.ModuleType)
+    assert imported is brandalign.evaluate and imported.evaluate is evaluate
 
 
 # ---------------------------------------------------------------------------

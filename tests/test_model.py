@@ -42,8 +42,7 @@ def random_instance(seed: int, cfg: TrainConfig, n_hotels: int = 4):
     negatives = tuple(rng.choice([h for h in ids if h != target and h != context],
                                  size=cfg.n_neg, replace=True))
     pair = TrainingPair(str(target), str(context), tuple(str(n) for n in negatives))
-    source = EmbeddingSpace(dim=cfg.d, brand="S", vectors={
-        h: np.abs(rng.normal(0, 0.5, cfg.d)) for h in ids})
+    source = EmbeddingSpace("S", ids, np.abs(rng.normal(0, 0.5, (len(ids), cfg.d))))
     return catalog, params, pair, source
 
 
@@ -179,13 +178,13 @@ def test_da_loss_examples():
     catalog, params, pair, source = random_instance(1, cfg)
     params.w_e[...] = 0.0
     hotels = _hotels(pair, catalog)
-    source.vectors[pair.target] = np.array([3.0, 4.0, 0.0])
+    source.matrix[source.index[pair.target]] = [3.0, 4.0, 0.0]
     for variant, penalty in (("norm", 5.0), ("squared_norm", 25.0)):
         for lam in (0.5, 2.0):
             got = _loss(params, catalog, replace(cfg, lam=lam, reg_variant=variant),
                         hotels, source)
             assert got == pytest.approx(base + lam * penalty, abs=1e-12)
-    source.vectors[pair.target] = np.zeros(3)
+    source.matrix[source.index[pair.target]] = 0.0
     assert _loss(params, catalog, replace(cfg, lam=2.0), hotels, source) == base
     assert _loss(params, catalog, cfg, hotels) == base
 
@@ -247,7 +246,8 @@ def test_gradients_untouched_rows_are_absent():
 def test_gradients_missing_source_vector_is_an_error():
     cfg = tiny_config(lam=1.0)
     catalog, params, pair, source = random_instance(5, cfg)
-    del source.vectors[pair.target]
+    kept = [h for h in source.ids if h != pair.target]
+    source = EmbeddingSpace("S", kept, source.matrix[[source.index[h] for h in kept]])
     with pytest.raises(ValueError, match="source space has no vector"):
         gradients(StepContext(replace(params), catalog, cfg, source, None),
                   _hotels(pair, catalog))
@@ -301,7 +301,7 @@ def test_train_is_deterministic():
 
 def test_train_lambda_with_empty_mapping_equals_plain():
     world, sessions = _tiny_world()
-    dummy_source = EmbeddingSpace(dim=3, brand="S", vectors={})
+    dummy_source = EmbeddingSpace("S", [], np.zeros((0, 3)))
     plain = train(sessions, world.catalog, tiny_config(epochs=2, seed=3))
     regularized = train(sessions, world.catalog,
                         tiny_config(epochs=2, seed=3, lam=1.0),
@@ -320,7 +320,7 @@ def test_train_rejects_a_source_space_of_another_dimension():
     # before the check, the first mapped pair failed with numpy's broadcast error
     world, sessions = _tiny_world()
     ids = world.catalog.hotel_ids
-    source = EmbeddingSpace(dim=8, brand="S", vectors={h: np.ones(8) for h in ids})
+    source = EmbeddingSpace("S", ids, np.ones((len(ids), 8)))
     epochs = []
     with pytest.raises(ValueError, match=r"^source space dim 8 != model dim 3$"):
         train(sessions, world.catalog, tiny_config(lam=1.0), source_space=source,
@@ -423,8 +423,8 @@ def test_train_matches_reference_loop_bit_for_bit(case):
     source = mapping = None
     if cfg.lam > 0:
         rng = np.random.default_rng(9)
-        source = EmbeddingSpace(dim=cfg.d, brand="S", vectors={
-            h: np.abs(rng.normal(0, 0.5, cfg.d)) for h in catalog.hotel_ids})
+        source = EmbeddingSpace("S", catalog.hotel_ids, np.abs(
+            rng.normal(0, 0.5, (len(catalog), cfg.d))))
         mapping = BrandMapping({h: h for h in catalog.hotel_ids[::2]})
     losses = []
     got = train(sessions, catalog, cfg, source_space=source, mapping=mapping,
@@ -565,6 +565,32 @@ def test_read_embeddings_rejects_malformed_files(tmp_path):
         bad_dim.write_text(f"0 {dim}\n")
         with pytest.raises(DataError, match=r"bad7\.emb:1: dimension must be positive"):
             read_embeddings(bad_dim)
+
+
+def test_read_embeddings_rejects_a_repeated_hotel(tmp_path):
+    # the header count equals the number of distinct ids, so only the repeat
+    # check can reject this file
+    path = tmp_path / "repeat.emb"
+    path.write_text("2 2\nh0 0.1 0.2\nh1 0.3 0.4\n\nh0 9.0 9.0\n")
+    with pytest.raises(DataError) as raised:
+        read_embeddings(path)
+    assert str(raised.value) == f"{path}:5: hotel 'h0' repeated from line 2"
+
+
+def test_embedding_space_rows_are_its_matrix_and_read_only():
+    matrix = np.arange(6.0).reshape(3, 2)
+    space = EmbeddingSpace("S", ["c", "a", "b"], matrix)
+    assert space.dim == 2
+    assert space.index == {"c": 0, "a": 1, "b": 2}
+    assert list(space.vectors) == ["c", "a", "b"] and len(space.vectors) == 3
+    assert all(np.shares_memory(space.vectors[h], matrix) for h in space.ids)
+    assert np.array_equal(space.vectors["a"], [2.0, 3.0])
+    with pytest.raises(TypeError):
+        space.vectors["a"] = np.zeros(2)
+    with pytest.raises(ValueError, match="distinct, one per matrix row"):
+        EmbeddingSpace("S", ["a", "a", "b"], matrix)
+    with pytest.raises(ValueError, match="distinct, one per matrix row"):
+        EmbeddingSpace("S", ["a", "b"], matrix)
 
 
 def test_init_params_seeded_and_in_range():
