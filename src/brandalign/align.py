@@ -100,7 +100,7 @@ def read_projection(path) -> ProjectionMatrix:
     with open_text(path) as fh:
         header = fh.readline().split()
         if len(header) != 3:
-            raise ValueError(f"{path}: bad header")
+            raise DataError(f"{path}:1: bad header")
         (d_s, d_t), kind = parse_numbers(header[:2], int, path, 1), header[2]
         if d_s < 1 or d_t < 1:
             raise DataError(f"{path}:1: dimensions must be positive, got {d_s}x{d_t}")

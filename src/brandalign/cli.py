@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 runtime failure, 2 usage error,
 
 import argparse
 import json
+import math
 import os
 import sys
 import warnings
@@ -13,10 +14,9 @@ import warnings
 from . import align as align_mod
 from . import model, repro, synth
 from .evaluate import (cross_brand_evaluate, evaluate as evaluate_sessions,
-                       make_events, write_metrics)
+                       write_metrics)
 from .data import (DataError, load_catalog, load_mapping, load_sessions,
                    split_sessions)
-from .rng import substream
 
 
 class UsageError(ValueError):
@@ -24,10 +24,14 @@ class UsageError(ValueError):
 
 
 def _parse_ratios(text: str) -> tuple[float, float, float]:
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise UsageError(f"ratios must be train:val:test, got {text!r}")
-    return tuple(float(p) for p in parts)
+    try:
+        train, val, test = map(float, text.split(":"))
+        if not math.isfinite(train + val + test):
+            raise ValueError
+    except ValueError:
+        raise UsageError(f"--ratios must be train:val:test numbers, "
+                         f"got {text!r}") from None
+    return train, val, test
 
 
 def _add_train_flags(p: argparse.ArgumentParser):
@@ -109,29 +113,21 @@ def cmd_train(args) -> int:
     if cfg.lam > 0:
         source_space = model.read_embeddings(args.source_embeddings)
         if source_space.dim != cfg.d:
-            raise DataError(f"{args.source_embeddings}: source embedding dim "
+            raise DataError(f"{args.source_embeddings}:1: source embedding dim "
                             f"{source_space.dim} != --dim {cfg.d}")
         mapping = load_mapping(args.mapping)
 
     curve_rows = []
     curve_sink = None
     if args.curve_file:
-        events = make_events(test_s, catalog)
-        events = repro._subsample_events(events, args.seed)
-        curve_sink = repro._curve_sink(events, catalog, curve_rows)
-
-    epoch_losses = []
+        curve_sink = repro._curve_sink(test_s, catalog, args.seed, curve_rows)
     params = model.train(train_s, catalog, cfg, source_space=source_space,
-                         mapping=mapping, curve_sink=curve_sink,
-                         epoch_loss_sink=lambda e, l: epoch_losses.append(l))
+                         mapping=mapping, curve_sink=curve_sink)
     space = model.export_embeddings(params, catalog, brand=args.brand)
     model.write_embeddings(space, args.out)
     if args.curve_file:
-        with open(args.curve_file, "w", encoding="utf-8") as fh:
-            for row in curve_rows:
-                fh.write(json.dumps(row, sort_keys=True) + "\n")
-    if epoch_losses:
-        print(f"final train loss (mean per pair, last epoch): {epoch_losses[-1]:.6f}")
+        repro.write_jsonl(curve_rows, args.curve_file)
+    print(f"final train loss (mean per pair, last epoch): {params.epoch_losses[-1]:.6f}")
     print(f"wrote {len(space.ids)} embeddings (dim {space.dim}) to {args.out}")
     return 0
 

@@ -10,24 +10,25 @@ hotel's embedding to its source counterpart.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from types import MappingProxyType
 
 import numpy as np
 
 from .data import (BrandMapping, DataError, HotelCatalog, SessionSet,
                    check_finite, open_text, parse_numbers)
-from .pairs import TrainingPair, build_epoch_stream
+from .pairs import build_epoch_stream
 
 EPS_NORM = 1e-12
 
 
 class TrainingDiverged(RuntimeError):
-    """Non-finite loss encountered; carries (step, pair) diagnostics."""
+    """Non-finite loss encountered; carries the step and the pair, a
+    (target, context, negatives) tuple of hotel ids."""
 
-    def __init__(self, step: int, pair: TrainingPair, loss: float):
+    def __init__(self, step: int, pair: tuple, loss: float):
         super().__init__(f"non-finite loss {loss} at step {step} on pair "
-                         f"({pair.target}, {pair.context})")
+                         f"({pair[0]}, {pair[1]})")
         self.step = step
         self.pair = pair
 
@@ -63,11 +64,13 @@ class TrainConfig:
 
 @dataclass
 class ModelParams:
-    """Trainable matrices; W_c rows follow the catalog's hotel order."""
+    """Trainable matrices; W_c rows follow the catalog's hotel order.
+    epoch_losses is an output: train appends each epoch's mean pair loss."""
     w_c: np.ndarray  # |H| x sub_dim
     w_a: np.ndarray  # d_a_in x sub_dim
     w_g: np.ndarray  # d_g_in x sub_dim
     w_e: np.ndarray  # 3 sub_dim x d
+    epoch_losses: list = field(default_factory=list)
 
 
 class EmbeddingSpace:
@@ -330,15 +333,14 @@ class _AdamState:
 def train(train_sessions: SessionSet, catalog: HotelCatalog, cfg: TrainConfig,
           source_space: EmbeddingSpace | None = None,
           mapping: BrandMapping | None = None,
-          curve_sink=None, epoch_loss_sink=None) -> ModelParams:
+          curve_sink=None) -> ModelParams:
     """Deterministic single-worker training loop: exact per-pair SGD (or
     Adam) over catalog indices.
 
     curve_sink, when given, is called as curve_sink(step, space) every
     cfg.eval_every pair updates with a freshly exported embedding space.
-    epoch_loss_sink is called as epoch_loss_sink(epoch, mean_pair_loss)
-    at the end of every epoch. Raises ValueError when the sessions yield no
-    pair to train on.
+    Each epoch's mean pair loss goes to the result's epoch_losses. Raises
+    ValueError when the sessions yield no pair to train on.
     """
     cfg.validate()
     if cfg.lam > 0 and source_space is None:
@@ -364,9 +366,8 @@ def train(train_sessions: SessionSet, catalog: HotelCatalog, cfg: TrainConfig,
             loss, idx, dy_c, grad = gradients(ctx, hotels)
             if not math.isfinite(loss):
                 ids = catalog.hotel_ids
-                raise TrainingDiverged(step, TrainingPair(
-                    ids[hotels[0]], ids[hotels[1]],
-                    tuple(ids[n] for n in hotels[2:])), loss)
+                raise TrainingDiverged(step, (ids[hotels[0]], ids[hotels[1]],
+                                              tuple(ids[n] for n in hotels[2:])), loss)
             if adam is not None:
                 adam.update(params.w_c, flat, idx, dy_c, grad)
             else:
@@ -377,13 +378,12 @@ def train(train_sessions: SessionSet, catalog: HotelCatalog, cfg: TrainConfig,
             step += 1
             if curve_sink is not None and step % cfg.eval_every == 0:
                 curve_sink(step, export_embeddings(params, catalog))
-        if epoch_loss_sink is not None and n_pairs:
-            epoch_loss_sink(epoch, loss_sum / n_pairs)
-    if step == 0:
-        raise ValueError(
-            f"nothing to train on: {len(train_sessions)} training sessions give "
-            f"no pair with an eligible negative ({skip_counter[0]} pairs "
-            f"skipped per epoch)")
+        if n_pairs == 0:  # every epoch trains the same pairs
+            raise ValueError(
+                f"nothing to train on: {len(train_sessions)} training sessions give "
+                f"no pair with an eligible negative ({skip_counter[0]} pairs "
+                f"skipped per epoch)")
+        params.epoch_losses.append(loss_sum / n_pairs)
     return params
 
 
@@ -408,7 +408,7 @@ def read_embeddings(path, brand: str = "unknown") -> EmbeddingSpace:
     with open_text(path) as fh:
         header = fh.readline().split()
         if len(header) != 2:
-            raise ValueError(f"{path}: bad header")
+            raise DataError(f"{path}:1: bad header")
         count, dim = parse_numbers(header, int, path, 1)
         if dim < 1:
             raise DataError(f"{path}:1: dimension must be positive, got {dim}")
@@ -434,5 +434,5 @@ def read_embeddings(path, brand: str = "unknown") -> EmbeddingSpace:
         raise DataError(f"{path}:{linenos[row]}: squared norm of {ids[row]!r} "
                         f"overflows")
     if len(ids) != count:
-        raise ValueError(f"{path}: header count {count} != {len(ids)} rows")
+        raise DataError(f"{path}:1: header count {count} != {len(ids)} rows")
     return EmbeddingSpace(brand, ids, matrix)

@@ -1,25 +1,12 @@
 """Skip-gram pair construction with market-restricted negative sampling."""
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .data import ClickSession, HotelCatalog, SessionSet
 from .rng import substream
 
 
-@dataclass(frozen=True)
-class TrainingPair:
-    target: str
-    context: str
-    negatives: tuple[str, ...]
-
-
 _WORDS_PER_DRAW = 1024  # sets when random_words refills, not which words come out
-
-
-class PairSkipped(Exception):
-    """No eligible negatives exist for this (target, context) pair."""
 
 
 def make_pairs(session: ClickSession, window: int) -> list[tuple[str, str]]:
@@ -48,20 +35,20 @@ def random_words(rng: np.random.Generator):
         yield from rng.integers(0, 1 << 32, size=_WORDS_PER_DRAW, dtype=np.uint64).tolist()
 
 
-def sample_negatives(pool, target, context, n_neg: int, words) -> list:
+def sample_negatives(pool, target, context, n_neg: int, words) -> list | None:
     """Draw n_neg members of pool (the target's market: hotel ids or catalog
     indices alike) uniformly with replacement, excluding the target and
     context themselves.
 
     A draw is pool[Generator.integers(0, m)], m = len(pool), by numpy's rule
     (Lemire): the next word w of words (see random_words) gives w * m >> 32,
-    unless the low 32 bits of w * m are below 2**32 % m. Raises PairSkipped
-    when the eligible set is empty; the caller drops the pair.
+    unless the low 32 bits of w * m are below 2**32 % m. Returns None when
+    the eligible set is empty; the caller drops the pair.
     """
     m = len(pool)
     # a pool of three distinct members keeps one whatever target and context are
     if m < 3 and m - 1 - (context != target and context in pool) <= 0:
-        raise PairSkipped("the target's market has no eligible negatives")
+        return None
     threshold = (1 << 32) % m
     # rejection sampling stays uniform over the eligible set
     out = []
@@ -88,9 +75,8 @@ def build_epoch_stream(sessions: SessionSet, catalog: HotelCatalog,
     for si in order:
         for target, context in make_pairs(sessions.sessions[si], window):
             t, c = index[target], index[context]
-            try:
-                negs = sample_negatives(pool_of[t], t, c, n_neg, words)
-            except PairSkipped:
+            negs = sample_negatives(pool_of[t], t, c, n_neg, words)
+            if negs is None:
                 if skip_counter is not None:
                     skip_counter[0] += 1
                 continue

@@ -74,23 +74,32 @@ class ReproResult:
     files: list
 
 
-def _subsample_events(events, seed, cap=CURVE_EVENT_CAP):
-    if len(events) <= cap:
-        return events
-    idx = substream(seed, "curve-events").choice(len(events), size=cap, replace=False)
-    return [events[i] for i in sorted(idx)]
+def _curve_sink(test_sessions, catalog, seed, rows):
+    """A model.train curve_sink that appends a {"step", "hits@10", "hits@100"}
+    row to rows per checkpoint, ranking by cosine a seeded sample of at most
+    CURVE_EVENT_CAP of test_sessions' events."""
+    events = make_events(test_sessions, catalog)
+    if len(events) > CURVE_EVENT_CAP:
+        idx = substream(seed, "curve-events").choice(len(events), size=CURVE_EVENT_CAP,
+                                                     replace=False)
+        events = [events[i] for i in sorted(idx)]
 
-
-def _curve_sink(events, catalog, curve_rows):
     def sink(step, space):
         ranks, _, _ = _event_ranks(events, catalog, space.vectors.get,
-                                      space.dim, "cosine")
-        curve_rows.append({
+                                   space.dim, "cosine")
+        rows.append({
             "step": step,
             "hits@10": hits_at_k(ranks, 10),
             "hits@100": hits_at_k(ranks, 100),
         })
     return sink
+
+
+def write_jsonl(rows, path):
+    """One sorted-key JSON object per line, as report.jsonl and curves use."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for row in rows:
+            fh.write(json.dumps(row, sort_keys=True) + "\n")
 
 
 def _mean_mapped_distance(target_space, source_space, mapping):
@@ -132,8 +141,6 @@ def run_repro(out_dir, seed: int = 42, quick: bool = False,
 
     tcfg = reference_train_config(seed, quick=quick)
     tgt_cfg = target_train_config(seed, quick=quick)
-    test_events = {b: make_events(splits[b][2], catalog) for b in wcfg.brands}
-    curve_events = _subsample_events(test_events[brand_tgt], seed)
 
     tgt_full = splits[brand_tgt][0]
     n_tgt = min(len(tgt_full.sessions),
@@ -149,28 +156,19 @@ def run_repro(out_dir, seed: int = 42, quick: bool = False,
 
     curves = {}
     spaces = {}
-
-    log(f"training target model (brand {brand_tgt}), plain")
-    curves["single_target"] = []
-    plain_params = model.train(
-        tgt_train, catalog, tgt_cfg,
-        curve_sink=_curve_sink(curve_events, catalog, curves["single_target"]))
-    spaces["single_target"] = model.export_embeddings(plain_params, catalog,
-                                                      brand=brand_tgt)
-
-    for name, lam in (("da_lambda10", 1.0), ("da_lambda05", 0.5)):
-        log(f"training target model with regularizer lam={lam}")
-        cfg = replace(tgt_cfg, lam=lam, reg_variant=REG_VARIANT)
+    for name, lam in (("single_target", 0.0), ("da_lambda10", 1.0),
+                      ("da_lambda05", 0.5)):
+        log(f"training target model (brand {brand_tgt}) with lam={lam}")
         sink = None
-        if name == "da_lambda10":
+        if name in ("single_target", "da_lambda10"):
             curves[name] = []
-            sink = _curve_sink(curve_events, catalog, curves[name])
-        params = model.train(tgt_train, catalog, cfg,
+            sink = _curve_sink(splits[brand_tgt][2], catalog, seed, curves[name])
+        # at lam=0 train ignores the source space and mapping
+        params = model.train(tgt_train, catalog,
+                             replace(tgt_cfg, lam=lam, reg_variant=REG_VARIANT),
                              source_space=src_space, mapping=mapping,
                              curve_sink=sink)
         spaces[name] = model.export_embeddings(params, catalog, brand=brand_tgt)
-
-    for name in ("single_target", "da_lambda10", "da_lambda05"):
         model.write_embeddings(spaces[name], path(f"{brand_tgt}_{name}.emb"))
 
     log("fitting linear projection on common hotels")
@@ -217,13 +215,9 @@ def run_repro(out_dir, seed: int = 42, quick: bool = False,
     closeness = {name: _mean_mapped_distance(spaces[name], src_space, mapping)
                  for name in ("single_target", "da_lambda10", "da_lambda05")}
 
-    with open(path("report.jsonl"), "w", encoding="utf-8") as fh:
-        for row in report_rows:
-            fh.write(json.dumps(row, sort_keys=True) + "\n")
-    for name in ("single_target", "da_lambda10"):
-        with open(path(f"curve_{name}.jsonl"), "w", encoding="utf-8") as fh:
-            for row in curves[name]:
-                fh.write(json.dumps(row, sort_keys=True) + "\n")
+    write_jsonl(report_rows, path("report.jsonl"))
+    for name, rows in curves.items():
+        write_jsonl(rows, path(f"curve_{name}.jsonl"))
 
     def grid(name, eval_brand, k, mode="cosine"):
         for row in report_rows:

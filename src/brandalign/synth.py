@@ -49,6 +49,8 @@ class WorldConfig:
             raise ValueError("overlap_fraction must be in [0,1]")
         if int(self.overlap_fraction * self.n_markets * self.hotels_per_market) < 1:
             raise ValueError("overlap_fraction too small: no hotel would be mapped")
+        if len(set(self.brands)) < len(self.brands):
+            raise ValueError(f"brand names must differ, got {list(self.brands)}")
 
 
 @dataclass

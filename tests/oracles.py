@@ -13,6 +13,7 @@ loader the one-pass one must agree with.
 import json
 import math
 from dataclasses import replace
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import expit as _expit
@@ -21,10 +22,21 @@ from brandalign.data import HotelCatalog
 from brandalign.model import (EmbeddingSpace, ModelParams, StepContext,
                               TrainConfig, TrainingDiverged, gradients,
                               init_params)
-from brandalign.pairs import PairSkipped, TrainingPair
 from brandalign.rng import substream
 
 EPS_NORM = 1e-12
+
+
+class TrainingPair(NamedTuple):
+    """One training step's hotel ids; equal to the (target, context,
+    negatives) tuple that the package's TrainingDiverged carries."""
+    target: str
+    context: str
+    negatives: tuple
+
+
+class PairSkipped(Exception):
+    """No eligible negatives exist for this (target, context) pair."""
 
 
 def straight_line_embedding(hotel_id: str, params: ModelParams,

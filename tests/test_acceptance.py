@@ -19,9 +19,8 @@ from brandalign.align import fit_linear_projection, fit_procrustes
 from brandalign.data import BrandMapping
 from brandalign.evaluate import evaluate, make_events
 from brandalign.model import EmbeddingSpace, ModelParams, TrainConfig
-from brandalign.pairs import TrainingPair
 from conftest import make_catalog, make_sessions, make_space
-from oracles import brute_force_metrics, finite_difference_max_rel_err
+from oracles import TrainingPair, brute_force_metrics, finite_difference_max_rel_err
 
 GRAD_TOL = 1e-4
 RECOVERY_TOL = 1e-6

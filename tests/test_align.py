@@ -253,7 +253,7 @@ def test_read_projection_rejects_non_finite_entries(tmp_path, bad):
 def test_read_projection_rejects_bad_header(tmp_path):
     p = tmp_path / "w.proj"
     p.write_text("2 2\n1.0 0.0\n0.0 1.0\n")
-    with pytest.raises(ValueError, match="bad header"):
+    with pytest.raises(ValueError, match=r"w\.proj:1: bad header"):
         read_projection(p)
 
 

@@ -10,8 +10,10 @@ import numpy as np
 import pytest
 
 import brandalign
+from brandalign import model, repro
 from brandalign.align import read_projection
 from brandalign.cli import main
+from brandalign.data import load_catalog, load_sessions, split_sessions
 from brandalign.model import read_embeddings
 
 
@@ -88,6 +90,14 @@ def test_gen_rejects_bad_session_lengths(tmp_path):
     assert main(gen_args(tmp_path, **{"--min-len": "1"})) == 2
 
 
+def test_gen_rejects_equal_brand_names(tmp_path, capsys):
+    # before the check, sessions_A.jsonl held the second brand's sessions alone
+    assert main(gen_args(tmp_path) + ["--brands", "A", "A"]) == 2
+    err = capsys.readouterr().err
+    assert err == "usage error: brand names must differ, got ['A', 'A']\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 # ---------------------------------------------------------------------------
 # train
 
@@ -133,7 +143,7 @@ def test_train_lambda_source_of_another_dim_names_the_file(world_dir, trained,
               + ["--dim", "4"])
     assert rc == 1
     err = capsys.readouterr().err.strip()
-    assert err == f"error: {a_emb}: source embedding dim 8 != --dim 4"
+    assert err == f"error: {a_emb}:1: source embedding dim 8 != --dim 4"
 
 
 def test_train_missing_catalog_is_runtime_error(tmp_path, world_dir):
@@ -190,12 +200,16 @@ def test_train_without_pairs_is_runtime_error(world_dir, tmp_path, capsys):
     assert not out.exists()
 
 
-def test_train_bad_ratios_is_usage_error(world_dir, tmp_path):
-    rc = main(["train", "--catalog", str(world_dir / "catalog.jsonl"),
-               "--sessions", str(world_dir / "sessions_A.jsonl"),
-               "--brand", "A", "--out", str(tmp_path / "x.emb"),
-               "--ratios", "8:1"] + TRAIN_SMALL)
-    assert rc == 2
+def test_train_bad_ratios_is_usage_error(world_dir, tmp_path, capsys):
+    # a:b:c and nan:1:1 used to exit 1 with a message that named no flag
+    for ratios in ("8:1", "a:b:c", "nan:1:1"):
+        rc = main(["train", "--catalog", str(world_dir / "catalog.jsonl"),
+                   "--sessions", str(world_dir / "sessions_A.jsonl"),
+                   "--brand", "A", "--out", str(tmp_path / "x.emb"),
+                   "--ratios", ratios] + TRAIN_SMALL)
+        assert rc == 2, ratios
+        assert capsys.readouterr().err == (
+            f"usage error: --ratios must be train:val:test numbers, got {ratios!r}\n")
 
 
 def test_train_curve_file(world_dir, tmp_path):
@@ -208,6 +222,29 @@ def test_train_curve_file(world_dir, tmp_path):
     assert rc == 0
     rows = [json.loads(line) for line in curve.read_text().splitlines()]
     assert rows and all({"step", "hits@10", "hits@100"} <= set(r) for r in rows)
+
+
+def test_train_prints_the_last_epoch_loss_and_writes_the_repro_curve(
+        world_dir, tmp_path, capsys):
+    curve = tmp_path / "curve.jsonl"
+    rc = main(["train", "--catalog", str(world_dir / "catalog.jsonl"),
+               "--sessions", str(world_dir / "sessions_A.jsonl"),
+               "--brand", "A", "--out", str(tmp_path / "x.emb"),
+               "--eval-every", "100", "--curve-file", str(curve)]
+              + TRAIN_SMALL)
+    assert rc == 0
+    catalog = load_catalog(world_dir / "catalog.jsonl")
+    sessions = load_sessions(world_dir / "sessions_A.jsonl", catalog, "A")
+    train_s, _, test_s = split_sessions(sessions, (8.0, 1.0, 1.0), 42)
+    rows = []
+    params = model.train(train_s, catalog,
+                         model.TrainConfig(sub_dim=4, d=8, n_neg=1, epochs=2,
+                                           seed=42, eval_every=100),
+                         curve_sink=repro._curve_sink(test_s, catalog, 42, rows))
+    assert (f"final train loss (mean per pair, last epoch): "
+            f"{params.epoch_losses[-1]:.6f}\n") in capsys.readouterr().out
+    assert rows
+    assert [json.loads(line) for line in curve.read_text().splitlines()] == rows
 
 
 # ---------------------------------------------------------------------------

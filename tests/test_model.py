@@ -4,16 +4,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from brandalign import repro, synth
+from brandalign import model, repro, synth
 from brandalign.data import BrandMapping, DataError
 from brandalign.model import (EmbeddingSpace, ModelParams, StepContext,
                               TrainConfig, TrainingDiverged, _norm_relu_rows,
                               export_embeddings, gradients, init_params,
                               read_embeddings, train, write_embeddings)
-from brandalign.pairs import TrainingPair
 from brandalign.rng import substream
 from conftest import make_catalog, make_sessions
-from oracles import (finite_difference_max_rel_err, per_hotel_export,
+from oracles import (TrainingPair, finite_difference_max_rel_err, per_hotel_export,
                      reference_train, straight_line_embedding)
 
 FD_TOL = 1e-4
@@ -316,26 +315,30 @@ def test_train_requires_source_space_when_lambda_positive():
         train(sessions, world.catalog, tiny_config(lam=1.0))
 
 
-def test_train_rejects_a_source_space_of_another_dimension():
+def test_train_rejects_a_source_space_of_another_dimension(monkeypatch):
     # before the check, the first mapped pair failed with numpy's broadcast error
     world, sessions = _tiny_world()
     ids = world.catalog.hotel_ids
     source = EmbeddingSpace("S", ids, np.ones((len(ids), 8)))
-    epochs = []
+    calls, real = [], model.gradients
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(model, "gradients", counted)
     with pytest.raises(ValueError, match=r"^source space dim 8 != model dim 3$"):
         train(sessions, world.catalog, tiny_config(lam=1.0), source_space=source,
-              mapping=BrandMapping({h: h for h in ids}),
-              epoch_loss_sink=lambda e, l: epochs.append(e))
-    assert epochs == []
+              mapping=BrandMapping({h: h for h in ids}))
+    assert calls == []  # no pair was trained
 
 
 def test_train_loss_decreases_over_epochs():
     world, sessions = _tiny_world()
     # d=3 is too narrow to learn anything here (dead ReLU outputs), so use d=8
     cfg = replace(tiny_config(epochs=5, seed=7), d=8)
-    losses = {}
-    train(sessions, world.catalog, cfg,
-          epoch_loss_sink=lambda e, l: losses.__setitem__(e, l))
+    losses = train(sessions, world.catalog, cfg).epoch_losses
+    assert len(losses) == 5
     assert losses[4] < losses[0]
 
 
@@ -426,14 +429,12 @@ def test_train_matches_reference_loop_bit_for_bit(case):
         source = EmbeddingSpace("S", catalog.hotel_ids, np.abs(
             rng.normal(0, 0.5, (len(catalog), cfg.d))))
         mapping = BrandMapping({h: h for h in catalog.hotel_ids[::2]})
-    losses = []
-    got = train(sessions, catalog, cfg, source_space=source, mapping=mapping,
-                epoch_loss_sink=lambda e, l: losses.append(l))
+    got = train(sessions, catalog, cfg, source_space=source, mapping=mapping)
     want, want_losses = reference_train(sessions, catalog, cfg, source, mapping)
     for name in ("w_c", "w_a", "w_g", "w_e"):
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
     # the L2 term of the loss is summed in another order
-    assert losses == pytest.approx(want_losses, rel=1e-12, abs=0)
+    assert got.epoch_losses == pytest.approx(want_losses, rel=1e-12, abs=0)
 
 
 def test_train_diverges_at_the_reference_step_and_pair():
@@ -526,7 +527,7 @@ def test_embedding_file_roundtrip(tmp_path):
 def test_read_embeddings_rejects_malformed_files(tmp_path):
     bad_header = tmp_path / "bad1.emb"
     bad_header.write_text("2\n")
-    with pytest.raises(ValueError, match="bad header"):
+    with pytest.raises(DataError, match=r"bad1\.emb:1: bad header"):
         read_embeddings(bad_header)
 
     bad_row = tmp_path / "bad2.emb"
@@ -536,7 +537,7 @@ def test_read_embeddings_rejects_malformed_files(tmp_path):
 
     bad_count = tmp_path / "bad3.emb"
     bad_count.write_text("2 2\nh0 0.1 0.2\n")
-    with pytest.raises(ValueError, match="header count"):
+    with pytest.raises(DataError, match=r"bad3\.emb:1: header count 2 != 1 rows"):
         read_embeddings(bad_count)
 
     for bad in ("nan", "inf", "-inf"):

@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from brandalign.data import ClickSession, SessionSet
-from brandalign.pairs import (_WORDS_PER_DRAW, PairSkipped, build_epoch_stream,
-                              make_pairs, random_words, sample_negatives)
+from brandalign.pairs import (_WORDS_PER_DRAW, build_epoch_stream, make_pairs,
+                              random_words, sample_negatives)
 from brandalign.rng import substream
 from conftest import make_catalog, make_sessions
 
@@ -109,8 +109,7 @@ def test_negatives_respect_exclusions(catalog4):
 def test_negatives_empty_eligible_set_skips():
     catalog = make_catalog({"m0": ["A", "B"]})
     rng = random_words(substream(0, "negatives", 0))
-    with pytest.raises(PairSkipped):
-        sample_negatives(_pool(catalog, "A"), "A", "B", 1, rng)
+    assert sample_negatives(_pool(catalog, "A"), "A", "B", 1, rng) is None
 
 
 def test_negatives_deterministic_under_seed(catalog4):

@@ -99,6 +99,8 @@ def test_config_validation():
         generate_world(tiny_cfg(overlap_fraction=1.5))
     with pytest.raises(ValueError, match="no hotel"):
         generate_world(tiny_cfg(overlap_fraction=0.01))
+    with pytest.raises(ValueError, match="brand names must differ"):
+        generate_world(tiny_cfg(brands=("A", "A")))
 
 
 # ---------------------------------------------------------------------------
