@@ -6,7 +6,6 @@ Exit codes: 0 success, 1 runtime failure, 2 usage error,
 
 import argparse
 import json
-import math
 import os
 import sys
 import warnings
@@ -16,7 +15,7 @@ from . import model, repro, synth
 from .evaluate import (cross_brand_evaluate, evaluate as evaluate_sessions,
                        write_metrics)
 from .data import (DataError, load_catalog, load_mapping, load_sessions,
-                   split_sessions)
+                   split_sessions, split_sizes)
 
 
 class UsageError(ValueError):
@@ -25,13 +24,14 @@ class UsageError(ValueError):
 
 def _parse_ratios(text: str) -> tuple[float, float, float]:
     try:
-        train, val, test = map(float, text.split(":"))
-        if not math.isfinite(train + val + test):
+        ratios = tuple(map(float, text.split(":")))
+        if len(ratios) != 3:
             raise ValueError
+        split_sizes(0, ratios)  # its rule: finite, nonnegative, positive sum
     except ValueError:
-        raise UsageError(f"--ratios must be train:val:test numbers, "
-                         f"got {text!r}") from None
-    return train, val, test
+        raise UsageError(f"--ratios must be train:val:test numbers, finite, "
+                         f"nonnegative and with a positive sum, got {text!r}") from None
+    return ratios
 
 
 def _add_train_flags(p: argparse.ArgumentParser):
@@ -151,6 +151,9 @@ def cmd_align(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    ks = tuple(args.k) if args.k else (10, 100)
+    if min(ks) < 1:
+        raise UsageError(f"--k must be >= 1, got {min(ks)}")
     catalog = load_catalog(args.catalog)
     sessions = _load_split(args, catalog)
     space = model.read_embeddings(args.embeddings)
@@ -160,7 +163,6 @@ def cmd_eval(args) -> int:
             space = align_mod.apply_projection(space, proj)
         except ValueError as exc:
             raise DataError(f"{args.apply_projection}: {exc}") from None
-    ks = tuple(args.k) if args.k else (10, 100)
     metadata = {"embeddings": args.embeddings, "mode": args.mode,
                 "pool": args.pool, "seed": args.seed, "split": args.split}
     if args.cross_brand:

@@ -307,8 +307,8 @@ def split_sizes(n: int, ratios: tuple[float, float, float]) -> tuple[int, int, i
     non-empty at desk scale. Depends only on (n, ratios), never on the seed.
     """
     total = sum(ratios)
-    if any(r < 0 for r in ratios) or total <= 0:
-        raise ValueError("ratios must be nonnegative and sum to a positive value")
+    if not all(0 <= r < np.inf for r in ratios) or total <= 0:
+        raise ValueError("ratios must be finite, nonnegative and sum to a positive value")
     exact = [n * r / total for r in ratios]
     sizes = [int(np.floor(e)) for e in exact]
     leftover = n - sum(sizes)

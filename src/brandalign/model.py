@@ -52,10 +52,10 @@ class TrainConfig:
         if min(self.sub_dim, self.d, self.window,
                self.n_neg, self.epochs, self.eval_every) < 1:
             raise ValueError("size fields must be positive")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
-        if self.l2_weight < 0 or self.lam < 0:
-            raise ValueError("l2_weight and lam must be >= 0")
+        if not 0 < self.learning_rate < np.inf:
+            raise ValueError("learning_rate must be positive and finite")
+        if not (0 <= self.l2_weight < np.inf and 0 <= self.lam < np.inf):
+            raise ValueError("l2_weight and lam must be finite and >= 0")
         if self.reg_variant not in ("norm", "squared_norm"):
             raise ValueError(f"unknown reg_variant {self.reg_variant!r}")
         if self.optimizer not in ("sgd", "adam"):

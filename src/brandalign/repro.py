@@ -10,6 +10,7 @@ exit code by the CLI.
 
 import json
 from dataclasses import dataclass, replace
+from pathlib import Path
 
 import numpy as np
 
@@ -71,7 +72,6 @@ class ReproResult:
     curves: dict           # run name -> list of {"step", "hits@10", "hits@100"}
     closeness: dict        # run name -> mean ||V_target - V_source|| on mapped hotels
     violations: list       # failed ordering assertions, empty on success
-    files: list
 
 
 def _curve_sink(test_sessions, catalog, seed, rows):
@@ -110,14 +110,8 @@ def _mean_mapped_distance(target_space, source_space, mapping):
 
 def run_repro(out_dir, seed: int = 42, quick: bool = False,
               log=print) -> ReproResult:
-    import os
-    os.makedirs(out_dir, exist_ok=True)
-    files = []
-
-    def path(name):
-        p = os.path.join(out_dir, name)
-        files.append(p)
-        return p
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
 
     wcfg = reference_world_config(seed=seed, quick=quick)
     brand_src, brand_tgt = wcfg.brands
@@ -127,16 +121,14 @@ def run_repro(out_dir, seed: int = 42, quick: bool = False,
     mapping = world.mapping
     inverse_mapping = BrandMapping({t: s for s, t in mapping.pairs.items()})
 
-    synth.write_catalog(catalog, path("catalog.jsonl"))
-    synth.write_mapping(mapping, path("mapping.tsv"))
-    synth.write_world_meta(wcfg, path("world-meta.json"))
+    synth.write_catalog(catalog, out / "catalog.jsonl")
+    synth.write_mapping(mapping, out / "mapping.tsv")
+    synth.write_world_meta(wcfg, out / "world-meta.json")
 
-    sessions = {}
     splits = {}
     for brand in wcfg.brands:
         sset = synth.generate_sessions(world, brand, wcfg)
-        synth.write_sessions(sset, path(f"sessions_{brand}.jsonl"))
-        sessions[brand] = sset
+        synth.write_sessions(sset, out / f"sessions_{brand}.jsonl")
         splits[brand] = split_sessions(sset, SPLIT_RATIOS, seed)
 
     tcfg = reference_train_config(seed, quick=quick)
@@ -152,7 +144,7 @@ def run_repro(out_dir, seed: int = 42, quick: bool = False,
     log(f"training source model (brand {brand_src})")
     src_params = model.train(splits[brand_src][0], catalog, tcfg)
     src_space = model.export_embeddings(src_params, catalog, brand=brand_src)
-    model.write_embeddings(src_space, path(f"{brand_src}.emb"))
+    model.write_embeddings(src_space, out / f"{brand_src}.emb")
 
     curves = {}
     spaces = {}
@@ -169,105 +161,91 @@ def run_repro(out_dir, seed: int = 42, quick: bool = False,
                              source_space=src_space, mapping=mapping,
                              curve_sink=sink)
         spaces[name] = model.export_embeddings(params, catalog, brand=brand_tgt)
-        model.write_embeddings(spaces[name], path(f"{brand_tgt}_{name}.emb"))
+        model.write_embeddings(spaces[name], out / f"{brand_tgt}_{name}.emb")
 
     log("fitting linear projection on common hotels")
     s_mat, t_mat, _, _ = align.common_rows(src_space, spaces["single_target"], mapping)
     lp = align.fit_linear_projection(s_mat, t_mat)
-    align.write_projection(lp, path("lp.proj"))
+    align.write_projection(lp, out / "lp.proj")
     spaces["lp_projected"] = align.apply_projection(src_space, lp)
     spaces["single_source"] = src_space
 
-    # evaluation grid: every space on both brands' test sessions
+    # evaluation grid of (embeddings, eval_brand, mode) cells: every space on
+    # both brands' test sessions by cosine, then target spaces by model score
     log("evaluating all spaces on both brands")
-    report_rows = []
-    ks = (10, 100)
+    cells = [(name, eval_brand, "cosine")
+             for name in ("single_source", "single_target", "lp_projected",
+                          "da_lambda10", "da_lambda05")
+             for eval_brand in wcfg.brands]
+    cells += [(name, brand_tgt, "model") for name in ("single_target", "da_lambda10")]
     source_like = {"single_source", "lp_projected"}  # keyed by source-brand ids
-
-    def eval_space(name, eval_brand, mode):
-        space = spaces[name]
+    ks = (10, 100)
+    report_rows, hits = [], {}  # hits: (embeddings, eval_brand, k, mode) -> hits@k
+    for name, eval_brand, mode in cells:
         home = brand_src if name in source_like else brand_tgt
+        test = splits[eval_brand][2]
         if eval_brand == home:
-            rep = evaluate(splits[eval_brand][2], space, catalog,
-                              mode=mode, ks=ks)
             setting = "in_brand"
+            rep = evaluate(test, spaces[name], catalog, mode=mode, ks=ks)
         else:
-            mp = mapping if home == brand_src else inverse_mapping
-            rep = cross_brand_evaluate(splits[eval_brand][2], space, mp,
-                                          catalog, mode=mode, ks=ks)
             setting = "cross_brand"
+            mp = mapping if home == brand_src else inverse_mapping
+            rep = cross_brand_evaluate(test, spaces[name], mp, catalog,
+                                       mode=mode, ks=ks)
         for k in ks:
             cell = rep.rows[(k, mode, setting)]
-            report_rows.append({
-                "embeddings": name, "eval_brand": eval_brand,
-                "setting": setting, "mode": mode, "k": k,
-                "hits": cell["hits"], "mrr": cell["mrr"],
-                "n_events": cell["n_events"],
-            })
-
-    for name in ("single_source", "single_target", "lp_projected",
-                 "da_lambda10", "da_lambda05"):
-        for eval_brand in wcfg.brands:
-            eval_space(name, eval_brand, "cosine")
-    for name in ("single_target", "da_lambda10"):
-        eval_space(name, brand_tgt, "model")
+            report_rows.append({"embeddings": name, "eval_brand": eval_brand,
+                                "setting": setting, "mode": mode, "k": k, **cell})
+            hits[name, eval_brand, k, mode] = cell["hits"]
 
     closeness = {name: _mean_mapped_distance(spaces[name], src_space, mapping)
                  for name in ("single_target", "da_lambda10", "da_lambda05")}
 
-    write_jsonl(report_rows, path("report.jsonl"))
+    write_jsonl(report_rows, out / "report.jsonl")
     for name, rows in curves.items():
-        write_jsonl(rows, path(f"curve_{name}.jsonl"))
+        write_jsonl(rows, out / f"curve_{name}.jsonl")
 
-    def grid(name, eval_brand, k, mode="cosine"):
-        for row in report_rows:
-            if (row["embeddings"], row["eval_brand"], row["k"], row["mode"]) == \
-                    (name, eval_brand, k, mode):
-                return row["hits"]
-        raise KeyError((name, eval_brand, k, mode))
-
-    violations = []
-
-    def check(cond, label):
-        if not cond:
-            violations.append(label)
-
-    # alignment quality on the target brand's test events: training with the
-    # regularizer beats projecting the source space in after the fact
-    check(grid("da_lambda10", brand_tgt, 100) > grid("lp_projected", brand_tgt, 100),
-          "hits@100 on the target brand: da_lambda10 must exceed lp_projected")
-    # closeness ordering in lam
-    check(closeness["da_lambda10"] < closeness["single_target"],
-          "mean mapped distance: lam=1.0 must be below lam=0")
-    check(closeness["da_lambda10"] < closeness["da_lambda05"] < closeness["single_target"],
-          "mean mapped distance: lam=0.5 must lie between lam=1.0 and lam=0")
-    # in-brand non-degradation
-    check(grid("da_lambda10", brand_tgt, 100) >= 0.9 * grid("single_target", brand_tgt, 100),
-          "in-brand hits@100: da_lambda10 must stay within 0.9x of plain")
-    # supervised (model-scoring) improvement direction
-    check(grid("da_lambda10", brand_tgt, 100, "model")
-          >= grid("single_target", brand_tgt, 100, "model"),
-          "model-scoring hits@100: da_lambda10 must not trail plain")
+    # the ordering checks as (ok, label) pairs, on the target brand's hits@100
+    da, plain, lp_hits = (hits[name, brand_tgt, 100, "cosine"]
+                          for name in ("da_lambda10", "single_target", "lp_projected"))
+    checks = [
+        # alignment quality on the target brand's test events: training with
+        # the regularizer beats projecting the source space in after the fact
+        (da > lp_hits,
+         "hits@100 on the target brand: da_lambda10 must exceed lp_projected"),
+        # closeness ordering in lam
+        (closeness["da_lambda10"] < closeness["single_target"],
+         "mean mapped distance: lam=1.0 must be below lam=0"),
+        (closeness["da_lambda10"] < closeness["da_lambda05"] < closeness["single_target"],
+         "mean mapped distance: lam=0.5 must lie between lam=1.0 and lam=0"),
+        # in-brand non-degradation
+        (da >= 0.9 * plain,
+         "in-brand hits@100: da_lambda10 must stay within 0.9x of plain"),
+        # supervised (model-scoring) improvement direction
+        (hits["da_lambda10", brand_tgt, 100, "model"]
+         >= hits["single_target", brand_tgt, 100, "model"],
+         "model-scoring hits@100: da_lambda10 must not trail plain"),
+    ]
     # jump-start on the learning curves
     c_plain, c_da = curves["single_target"], curves["da_lambda10"]
     if c_plain and c_da:
-        check(c_da[0]["hits@100"] > c_plain[0]["hits@100"],
-              "first curve checkpoint: da must exceed cold start")
         final_plain = c_plain[-1]["hits@100"]
         reach = [row["step"] for row in c_da if row["hits@100"] >= final_plain]
-        check(bool(reach) and reach[0] < c_plain[-1]["step"],
-              "da must reach the cold-start final hits@100 at an earlier step")
+        checks += [
+            (c_da[0]["hits@100"] > c_plain[0]["hits@100"],
+             "first curve checkpoint: da must exceed cold start"),
+            (bool(reach) and reach[0] < c_plain[-1]["step"],
+             "da must reach the cold-start final hits@100 at an earlier step"),
+        ]
     else:
-        violations.append("curves missing: eval_every larger than the epoch stream")
+        checks.append((False, "curves missing: eval_every larger than the epoch stream"))
+    violations = [label for ok, label in checks if not ok]
 
-    summary = {
-        "seed": seed, "quick": quick,
-        "closeness": closeness,
-        "violations": violations,
-    }
-    with open(path("repro-summary.json"), "w", encoding="utf-8") as fh:
+    summary = {"seed": seed, "quick": quick, "closeness": closeness,
+               "violations": violations}
+    with open(out / "repro-summary.json", "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
     return ReproResult(report_rows=report_rows, curves=curves,
-                       closeness=closeness, violations=violations, files=files)
+                       closeness=closeness, violations=violations)

@@ -43,8 +43,8 @@ class WorldConfig:
         lo, hi = self.session_length
         if lo < 2 or hi < lo:
             raise ValueError("session_length must satisfy 2 <= min <= max")
-        if self.brand_bias_strength < 0:
-            raise ValueError("brand_bias_strength must be >= 0")
+        if not 0 <= self.brand_bias_strength < np.inf:
+            raise ValueError("brand_bias_strength must be finite and >= 0")
         if not 0.0 <= self.overlap_fraction <= 1.0:
             raise ValueError("overlap_fraction must be in [0,1]")
         if int(self.overlap_fraction * self.n_markets * self.hotels_per_market) < 1:

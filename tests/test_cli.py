@@ -4,13 +4,14 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import brandalign
-from brandalign import model, repro
+from brandalign import model, repro, synth
 from brandalign.align import read_projection
 from brandalign.cli import main
 from brandalign.data import load_catalog, load_sessions, split_sessions
@@ -201,15 +202,33 @@ def test_train_without_pairs_is_runtime_error(world_dir, tmp_path, capsys):
 
 
 def test_train_bad_ratios_is_usage_error(world_dir, tmp_path, capsys):
-    # a:b:c and nan:1:1 used to exit 1 with a message that named no flag
-    for ratios in ("8:1", "a:b:c", "nan:1:1"):
+    # a:b:c, nan:1:1, -1:1:1 and 0:0:0 used to exit 1 with a message that
+    # named no flag
+    for ratios in ("8:1", "a:b:c", "nan:1:1", "inf:1:1", "-1:1:1", "0:0:0"):
         rc = main(["train", "--catalog", str(world_dir / "catalog.jsonl"),
                    "--sessions", str(world_dir / "sessions_A.jsonl"),
                    "--brand", "A", "--out", str(tmp_path / "x.emb"),
-                   "--ratios", ratios] + TRAIN_SMALL)
+                   f"--ratios={ratios}"] + TRAIN_SMALL)
         assert rc == 2, ratios
         assert capsys.readouterr().err == (
-            f"usage error: --ratios must be train:val:test numbers, got {ratios!r}\n")
+            f"usage error: --ratios must be train:val:test numbers, finite, "
+            f"nonnegative and with a positive sum, got {ratios!r}\n")
+
+
+def test_non_finite_float_settings_are_usage_errors(world_dir, tmp_path, capsys):
+    # nan passed every `< 0` check: train --lambda nan trained as lambda 0,
+    # and gen --bias nan wrote sessions that clicked 4 of 20 hotels
+    train = ["train", "--catalog", str(world_dir / "catalog.jsonl"),
+             "--sessions", str(world_dir / "sessions_A.jsonl"),
+             "--brand", "A", "--out", str(tmp_path / "x.emb")] + TRAIN_SMALL
+    for value in ("nan", "inf"):
+        for argv in (train + ["--lambda", value], train + ["--lr", value],
+                     train + ["--l2", value],
+                     gen_args(tmp_path / "world", **{"--bias": value})):
+            assert main(argv) == 2, argv
+            err = capsys.readouterr().err
+            assert err.startswith("usage error: ") and err.count("\n") == 1, argv
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_train_curve_file(world_dir, tmp_path):
@@ -591,7 +610,54 @@ def test_eval_record_nested_past_the_recursion_limit_is_one_line(
     assert "Traceback" not in err and len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("k", ["0", "-3"])
+def test_eval_k_below_one_is_usage_error(world_dir, trained, tmp_path, capsys, k):
+    # --k 0 used to exit 1 with "error: k must be >= 1", naming no flag
+    out = tmp_path / "x.jsonl"
+    rc = main(eval_args(world_dir, trained[0], "A", out, "--k", "10", "--k", k))
+    assert rc == 2
+    assert capsys.readouterr().err == f"usage error: --k must be >= 1, got {k}\n"
+    assert not out.exists()
+
+
 def test_eval_missing_embeddings_file(world_dir, tmp_path):
     rc = main(eval_args(world_dir, str(tmp_path / "no.emb"), "A",
                         tmp_path / "x.jsonl"))
     assert rc == 1
+
+
+# ---------------------------------------------------------------------------
+# repro
+
+def test_repro_violations_exit_3_with_one_line_each(tmp_path, monkeypatch, capsys):
+    # a tiny world, patched in as the benchmark's self-test does, whose
+    # eval_every lies beyond every training stream: no curve checkpoint
+    seed_cfg = repro.reference_train_config
+
+    def train_cfg(seed, quick=False):
+        return replace(seed_cfg(seed, quick), epochs=1, eval_every=10**9)
+
+    monkeypatch.setattr(repro, "reference_world_config", lambda seed=42, quick=False:
+                        synth.WorldConfig(n_markets=2, hotels_per_market=30,
+                                          latent_dim=8, d_a_in=8, d_g_in=2,
+                                          n_sessions_per_brand=300, seed=seed))
+    monkeypatch.setattr(repro, "reference_train_config", train_cfg)
+    monkeypatch.setattr(repro, "target_train_config",
+                        lambda seed, quick=False: replace(train_cfg(seed), epochs=2))
+    out = tmp_path / "repro"
+    assert main(["repro", "--out-dir", str(out), "--quick"]) == 3
+    captured = capsys.readouterr()
+    violations = json.loads((out / "repro-summary.json").read_text())["violations"]
+    assert violations[-1] == "curves missing: eval_every larger than the epoch stream"
+    assert captured.err.splitlines() == [f"ORDERING VIOLATION: {v}" for v in violations]
+    rows = [json.loads(line) for line in captured.out.splitlines()
+            if line.startswith("{")]
+    cells = [(name, brand, "cosine")
+             for name in ("single_source", "single_target", "lp_projected",
+                          "da_lambda10", "da_lambda05") for brand in "AB"]
+    cells += [("single_target", "B", "model"), ("da_lambda10", "B", "model")]
+    assert [(r["embeddings"], r["eval_brand"], r["mode"], r["k"]) for r in rows] == \
+        [(*cell, k) for cell in cells for k in (10, 100)]
+    assert len(rows) == 24 and all(len(r) == 8 for r in rows)
+    assert rows == [json.loads(line)
+                    for line in (out / "report.jsonl").read_text().splitlines()]
