@@ -6,7 +6,6 @@ Exit codes: 0 success, 1 runtime failure, 2 usage error,
 
 import argparse
 import json
-import os
 import sys
 import warnings
 
@@ -22,6 +21,13 @@ class UsageError(ValueError):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a malformed command line as a UsageError, not usage and SystemExit."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
 def _parse_ratios(text: str) -> tuple[float, float, float]:
     try:
         ratios = tuple(map(float, text.split(":")))
@@ -34,58 +40,44 @@ def _parse_ratios(text: str) -> tuple[float, float, float]:
     return ratios
 
 
-def _add_train_flags(p: argparse.ArgumentParser):
-    p.add_argument("--dim", type=int, default=32, help="final embedding dim")
-    p.add_argument("--sub-dim", type=int, default=16,
-                   help="dim of each feature sub-embedding")
-    p.add_argument("--window", type=int, default=3)
-    p.add_argument("--n-neg", type=int, default=5)
-    p.add_argument("--lr", type=float, default=0.05)
-    p.add_argument("--epochs", type=int, default=10)
-    p.add_argument("--l2", type=float, default=1e-6)
-    p.add_argument("--lambda", dest="lam", type=float, default=0.0,
-                   help="cross-brand regularizer strength")
-    p.add_argument("--reg-variant", choices=("norm", "squared_norm"),
-                   default="norm")
-    p.add_argument("--optimizer", choices=("sgd", "adam"), default="sgd")
-    p.add_argument("--eval-every", type=int, default=10_000)
+# flag -> config field; each flag takes its type and default from the field
+TRAIN_FLAGS = {"--dim": "d", "--sub-dim": "sub_dim", "--window": "window",
+               "--n-neg": "n_neg", "--lr": "learning_rate", "--epochs": "epochs",
+               "--l2": "l2_weight", "--lambda": "lam", "--reg-variant": "reg_variant",
+               "--optimizer": "optimizer", "--eval-every": "eval_every"}
+GEN_FLAGS = {"--markets": "n_markets", "--hotels-per-market": "hotels_per_market",
+             "--latent-dim": "latent_dim", "--amenity-dim": "d_a_in",
+             "--geo-dim": "d_g_in", "--sessions": "n_sessions_per_brand",
+             "--bias": "brand_bias_strength", "--overlap": "overlap_fraction",
+             "--seed": "seed"}
+_HELP = {"--dim": "final embedding dim",
+         "--sub-dim": "dim of each feature sub-embedding",
+         "--lambda": "cross-brand regularizer strength"}
 
 
-def _train_config(args) -> model.TrainConfig:
-    cfg = model.TrainConfig(
-        sub_dim=args.sub_dim, d=args.dim, window=args.window, n_neg=args.n_neg,
-        learning_rate=args.lr, epochs=args.epochs, l2_weight=args.l2,
-        lam=args.lam, reg_variant=args.reg_variant, optimizer=args.optimizer,
-        seed=args.seed, eval_every=args.eval_every)
+def _add_config_flags(p: argparse.ArgumentParser, cls, flags):
+    defaults = cls()
+    for flag, name in flags.items():
+        value = getattr(defaults, name)
+        p.add_argument(flag, dest=name, type=type(value), default=value,
+                       help=_HELP.get(flag))
+
+
+def _config(cls, args, flags, **extra):
+    """cls built from the flags' fields and extra; an invalid one is a usage error."""
     try:
+        cfg = cls(**{name: getattr(args, name) for name in flags.values()}, **extra)
         cfg.validate()
-    except ValueError as exc:
+    except (ValueError, TypeError) as exc:
         raise UsageError(str(exc)) from exc
     return cfg
 
 
 def cmd_gen(args) -> int:
-    try:
-        cfg = synth.WorldConfig(
-            n_markets=args.markets, hotels_per_market=args.hotels_per_market,
-            latent_dim=args.latent_dim, d_a_in=args.amenity_dim,
-            d_g_in=args.geo_dim, n_sessions_per_brand=args.sessions,
-            session_length=(args.min_len, args.max_len),
-            brand_bias_strength=args.bias, overlap_fraction=args.overlap,
-            seed=args.seed, brands=tuple(args.brands))
-        cfg.validate()
-    except (ValueError, TypeError) as exc:
-        raise UsageError(str(exc)) from exc
-
-    os.makedirs(args.out_dir, exist_ok=True)
-    world = synth.generate_world(cfg)
-    synth.write_catalog(world.catalog, os.path.join(args.out_dir, "catalog.jsonl"))
-    synth.write_mapping(world.mapping, os.path.join(args.out_dir, "mapping.tsv"))
-    synth.write_world_meta(cfg, os.path.join(args.out_dir, "world-meta.json"))
-    for brand in cfg.brands:
-        sset = synth.generate_sessions(world, brand, cfg)
-        synth.write_sessions(sset, os.path.join(args.out_dir,
-                                                f"sessions_{brand}.jsonl"))
+    cfg = _config(synth.WorldConfig, args, GEN_FLAGS,
+                  session_length=(args.min_len, args.max_len),
+                  brands=tuple(args.brands))
+    world, _ = synth.write_world(cfg, args.out_dir)
     print(f"wrote world ({len(world.catalog)} hotels, "
           f"{cfg.n_sessions_per_brand} sessions/brand) to {args.out_dir}")
     return 0
@@ -101,7 +93,7 @@ def _load_split(args, catalog):
 
 
 def cmd_train(args) -> int:
-    cfg = _train_config(args)
+    cfg = _config(model.TrainConfig, args, TRAIN_FLAGS, seed=args.seed)
     if cfg.lam > 0 and (args.source_embeddings is None or args.mapping is None):
         raise UsageError("--lambda > 0 requires --source-embeddings and --mapping")
 
@@ -154,6 +146,9 @@ def cmd_eval(args) -> int:
     ks = tuple(args.k) if args.k else (10, 100)
     if min(ks) < 1:
         raise UsageError(f"--k must be >= 1, got {min(ks)}")
+    if not 0 <= args.missing_threshold <= 1:
+        raise UsageError(f"--missing-threshold must be in [0, 1], "
+                         f"got {args.missing_threshold}")
     catalog = load_catalog(args.catalog)
     sessions = _load_split(args, catalog)
     space = model.read_embeddings(args.embeddings)
@@ -205,38 +200,34 @@ def cmd_repro(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="brandalign",
         description="Train, align, and evaluate cross-brand session embeddings.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate a synthetic two-brand world")
     p.add_argument("--out-dir", default="world")
-    p.add_argument("--markets", type=int, default=5)
-    p.add_argument("--hotels-per-market", type=int, default=200)
-    p.add_argument("--latent-dim", type=int, default=8)
-    p.add_argument("--amenity-dim", type=int, default=8)
-    p.add_argument("--geo-dim", type=int, default=2)
-    p.add_argument("--sessions", type=int, default=50_000)
-    p.add_argument("--min-len", type=int, default=2)
-    p.add_argument("--max-len", type=int, default=5)
-    p.add_argument("--bias", type=float, default=1.0)
-    p.add_argument("--overlap", type=float, default=0.8)
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--brands", nargs=2, default=["A", "B"])
+    _add_config_flags(p, synth.WorldConfig, GEN_FLAGS)
+    world = synth.WorldConfig()
+    p.add_argument("--min-len", type=int, default=world.session_length[0])
+    p.add_argument("--max-len", type=int, default=world.session_length[1])
+    p.add_argument("--brands", nargs=2, default=world.brands)
     p.set_defaults(func=cmd_gen)
 
-    p = sub.add_parser("train", help="train one brand's embedding model")
-    p.add_argument("--catalog", required=True)
-    p.add_argument("--sessions", required=True)
-    p.add_argument("--brand", required=True)
+    # the input flags train and eval share; --seed also drives the split
+    inputs = _Parser(add_help=False)
+    for flag in ("--catalog", "--sessions", "--brand"):
+        inputs.add_argument(flag, required=True)
+    inputs.add_argument("--ratios", default="8:1:1")
+    inputs.add_argument("--seed", type=int, default=42)
+
+    p = sub.add_parser("train", parents=[inputs],
+                       help="train one brand's embedding model")
     p.add_argument("--out", required=True, help="embedding file to write")
-    p.add_argument("--ratios", default="8:1:1")
-    p.add_argument("--seed", type=int, default=42)
     p.add_argument("--source-embeddings", help="frozen source space (regularized run)")
     p.add_argument("--mapping", help="source->target hotel mapping (tsv)")
     p.add_argument("--curve-file", help="write learning-curve checkpoints here")
-    _add_train_flags(p)
+    _add_config_flags(p, model.TrainConfig, TRAIN_FLAGS)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("align", help="fit a projection between two spaces")
@@ -247,10 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_align)
 
-    p = sub.add_parser("eval", help="hits@k / MRR@k evaluation")
-    p.add_argument("--catalog", required=True)
-    p.add_argument("--sessions", required=True)
-    p.add_argument("--brand", required=True)
+    p = sub.add_parser("eval", parents=[inputs], help="hits@k / MRR@k evaluation")
     p.add_argument("--embeddings", required=True)
     p.add_argument("--out", default="metrics.jsonl")
     p.add_argument("--mode", choices=("cosine", "model"), default="cosine")
@@ -261,8 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--apply-projection")
     p.add_argument("--split", choices=("none", "train", "val", "test"),
                    default="none")
-    p.add_argument("--ratios", default="8:1:1")
-    p.add_argument("--seed", type=int, default=42)
     p.add_argument("--missing-threshold", type=float, default=0.5)
     p.set_defaults(func=cmd_eval)
 
@@ -276,11 +262,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     saved = warnings.formatwarning  # a warning is one stderr line, like an error
     warnings.formatwarning = lambda message, *_: f"warning: {message}\n"
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -111,25 +111,16 @@ def _mean_mapped_distance(target_space, source_space, mapping):
 def run_repro(out_dir, seed: int = 42, quick: bool = False,
               log=print) -> ReproResult:
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-
     wcfg = reference_world_config(seed=seed, quick=quick)
     brand_src, brand_tgt = wcfg.brands
     log(f"generating world ({wcfg.n_markets} markets x {wcfg.hotels_per_market} hotels)")
-    world = synth.generate_world(wcfg)
+    world, session_sets = synth.write_world(wcfg, out)
     catalog = world.catalog
     mapping = world.mapping
     inverse_mapping = BrandMapping({t: s for s, t in mapping.pairs.items()})
-
-    synth.write_catalog(catalog, out / "catalog.jsonl")
-    synth.write_mapping(mapping, out / "mapping.tsv")
-    synth.write_world_meta(wcfg, out / "world-meta.json")
-
-    splits = {}
-    for brand in wcfg.brands:
-        sset = synth.generate_sessions(world, brand, wcfg)
-        synth.write_sessions(sset, out / f"sessions_{brand}.jsonl")
-        splits[brand] = split_sessions(sset, SPLIT_RATIOS, seed)
+    # pop: no unsplit session set outlives its split
+    splits = {brand: split_sessions(session_sets.pop(brand), SPLIT_RATIOS, seed)
+              for brand in wcfg.brands}
 
     tcfg = reference_train_config(seed, quick=quick)
     tgt_cfg = target_train_config(seed, quick=quick)

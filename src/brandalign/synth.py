@@ -8,6 +8,7 @@ has to bridge.
 
 import json
 from dataclasses import dataclass, field, asdict
+from pathlib import Path
 
 import numpy as np
 
@@ -145,6 +146,22 @@ def generate_sessions(world: World, brand: str, cfg: WorldConfig) -> SessionSet:
 
 # ---------------------------------------------------------------------------
 # file emission (formats owned by the data module)
+
+def write_world(cfg: WorldConfig, out_dir) -> tuple[World, dict[str, SessionSet]]:
+    """Generate cfg's world and write its files to out_dir: catalog.jsonl,
+    mapping.tsv, world-meta.json and one sessions_<brand>.jsonl per brand."""
+    world = generate_world(cfg)
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    write_catalog(world.catalog, out / "catalog.jsonl")
+    write_mapping(world.mapping, out / "mapping.tsv")
+    write_world_meta(cfg, out / "world-meta.json")
+    sessions = {}
+    for brand in cfg.brands:
+        sessions[brand] = generate_sessions(world, brand, cfg)
+        write_sessions(sessions[brand], out / f"sessions_{brand}.jsonl")
+    return world, sessions
+
 
 def write_catalog(catalog: HotelCatalog, path):
     with open(path, "w", encoding="utf-8") as fh:

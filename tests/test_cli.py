@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -13,7 +14,7 @@ import pytest
 import brandalign
 from brandalign import model, repro, synth
 from brandalign.align import read_projection
-from brandalign.cli import main
+from brandalign.cli import GEN_FLAGS, TRAIN_FLAGS, build_parser, main
 from brandalign.data import load_catalog, load_sessions, split_sessions
 from brandalign.model import read_embeddings
 
@@ -626,6 +627,44 @@ def test_eval_missing_embeddings_file(world_dir, tmp_path):
     assert rc == 1
 
 
+@pytest.mark.parametrize("threshold", ["nan", "inf", "-0.1", "1.5"])
+def test_eval_missing_threshold_out_of_range_is_usage_error(tmp_path, capsys,
+                                                            threshold):
+    # nan turned the missing-query check off, and a negative value failed
+    # every cross-brand run; no file is read before the check
+    out = tmp_path / "x.jsonl"
+    rc = main(eval_args(tmp_path, str(tmp_path / "no.emb"), "A", out,
+                        "--cross-brand", "--mapping", str(tmp_path / "no.tsv"),
+                        "--missing-threshold", threshold))
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"usage error: --missing-threshold must be in [0, 1], "
+        f"got {float(threshold)}\n")
+    assert not out.exists()
+
+
+def test_eval_missing_threshold_bounds_still_run(world_dir, trained, tmp_path,
+                                                 capsys):
+    _, b_emb = trained
+    space = read_embeddings(b_emb)
+    some_id = sorted(space.vectors)[0]
+    tiny = tmp_path / "tiny-mapping.tsv"
+    tiny.write_text(f"{some_id}\t{some_id}\n")
+    # 1 accepts any share of skipped queries
+    out = tmp_path / "one.jsonl"
+    assert main(eval_args(world_dir, b_emb, "A", out, "--cross-brand",
+                          "--mapping", str(tiny), "--missing-threshold", "1")) == 0
+    assert out.exists()
+    # 0 accepts none; the full mapping leaves unmapped source hotels out
+    capsys.readouterr()
+    assert main(eval_args(world_dir, b_emb, "A", tmp_path / "zero.jsonl",
+                          "--cross-brand", "--mapping", str(world_dir / "mapping.tsv"),
+                          "--missing-threshold", "0")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.endswith(
+        "queries lack embeddings (threshold 0.0)\n") and err.count("\n") == 1
+
+
 # ---------------------------------------------------------------------------
 # repro
 
@@ -661,3 +700,70 @@ def test_repro_violations_exit_3_with_one_line_each(tmp_path, monkeypatch, capsy
     assert len(rows) == 24 and all(len(r) == 8 for r in rows)
     assert rows == [json.loads(line)
                     for line in (out / "report.jsonl").read_text().splitlines()]
+
+
+# ---------------------------------------------------------------------------
+# flags and parsing
+
+TRAIN_REQUIRED = ["train", "--catalog", "c.jsonl", "--sessions", "s.jsonl",
+                  "--brand", "A", "--out", "x.emb"]
+
+
+@pytest.mark.parametrize("argv", [
+    TRAIN_REQUIRED + ["--bogus", "1"],                    # unknown flag
+    TRAIN_REQUIRED + ["--epochs", "x"],                   # malformed value
+    TRAIN_REQUIRED[:-2],                                  # missing required flag
+    ["eval", "--catalog", "c", "--sessions", "s", "--brand", "A",
+     "--embeddings", "e", "--mode", "bogus"],             # invalid choice
+    [],                                                   # no subcommand
+], ids=["unknown-flag", "epochs-x", "missing-out", "mode-bogus", "no-command"])
+def test_malformed_command_line_is_one_usage_line(argv, capsys):
+    # argparse used to print its usage block and raise SystemExit out of main
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("usage error: ")
+    assert len(captured.err.splitlines()) == 1 and captured.out == ""
+
+
+@pytest.mark.parametrize("flag", ["--reg-variant", "--optimizer"])
+def test_train_unknown_variant_is_usage_error(flag, capsys):
+    # TrainConfig.validate owns the allowed values
+    assert main(TRAIN_REQUIRED + [flag, "bogus"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: unknown ") and err.count("\n") == 1
+
+
+def test_flag_defaults_are_the_config_defaults():
+    train = build_parser().parse_args(TRAIN_REQUIRED)
+    for flag, name in TRAIN_FLAGS.items():
+        assert getattr(train, name) == getattr(model.TrainConfig(), name), flag
+    gen = build_parser().parse_args(["gen"])
+    world = synth.WorldConfig()
+    for flag, name in GEN_FLAGS.items():
+        assert getattr(gen, name) == getattr(world, name), flag
+    assert (gen.min_len, gen.max_len) == world.session_length
+    assert tuple(gen.brands) == world.brands
+
+
+def _help_flags(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    return set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", capsys.readouterr().out))
+
+
+def test_flag_sets_are_unchanged(capsys):
+    assert _help_flags("gen", capsys) == {
+        "--help", "--out-dir", "--markets", "--hotels-per-market", "--latent-dim",
+        "--amenity-dim", "--geo-dim", "--sessions", "--min-len", "--max-len",
+        "--bias", "--overlap", "--seed", "--brands"}
+    assert _help_flags("train", capsys) == {
+        "--help", "--catalog", "--sessions", "--brand", "--out", "--ratios",
+        "--seed", "--source-embeddings", "--mapping", "--curve-file", "--dim",
+        "--sub-dim", "--window", "--n-neg", "--lr", "--epochs", "--l2",
+        "--lambda", "--reg-variant", "--optimizer", "--eval-every"}
+    assert _help_flags("eval", capsys) == {
+        "--help", "--catalog", "--sessions", "--brand", "--embeddings", "--out",
+        "--mode", "--k", "--pool", "--cross-brand", "--mapping",
+        "--apply-projection", "--split", "--ratios", "--seed",
+        "--missing-threshold"}
