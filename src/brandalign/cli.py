@@ -83,24 +83,23 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def _load_split(args, catalog):
+def _load_split(args, catalog, ratios):
     sessions = load_sessions(args.sessions, catalog, args.brand)
     if args.split == "none":
         return sessions
-    train_s, val_s, test_s = split_sessions(sessions, _parse_ratios(args.ratios),
-                                            args.seed)
+    train_s, val_s, test_s = split_sessions(sessions, ratios, args.seed)
     return {"train": train_s, "val": val_s, "test": test_s}[args.split]
 
 
 def cmd_train(args) -> int:
+    ratios = _parse_ratios(args.ratios)
     cfg = _config(model.TrainConfig, args, TRAIN_FLAGS, seed=args.seed)
     if cfg.lam > 0 and (args.source_embeddings is None or args.mapping is None):
         raise UsageError("--lambda > 0 requires --source-embeddings and --mapping")
 
     catalog = load_catalog(args.catalog)
     sessions = load_sessions(args.sessions, catalog, args.brand)
-    train_s, val_s, test_s = split_sessions(sessions,
-                                            _parse_ratios(args.ratios), args.seed)
+    train_s, val_s, test_s = split_sessions(sessions, ratios, args.seed)
     source_space = mapping = None
     if cfg.lam > 0:
         source_space = model.read_embeddings(args.source_embeddings)
@@ -143,6 +142,7 @@ def cmd_align(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    ratios = _parse_ratios(args.ratios)
     ks = tuple(args.k) if args.k else (10, 100)
     if min(ks) < 1:
         raise UsageError(f"--k must be >= 1, got {min(ks)}")
@@ -150,7 +150,7 @@ def cmd_eval(args) -> int:
         raise UsageError(f"--missing-threshold must be in [0, 1], "
                          f"got {args.missing_threshold}")
     catalog = load_catalog(args.catalog)
-    sessions = _load_split(args, catalog)
+    sessions = _load_split(args, catalog, ratios)
     space = model.read_embeddings(args.embeddings)
     if args.apply_projection:
         proj = align_mod.read_projection(args.apply_projection)

@@ -120,6 +120,11 @@ class HotelCatalog:
         self.features = np.hstack([np.stack([h.amenities for h in self.hotels]),
                                    np.stack([h.geo for h in self.hotels])])
         self.hotel_ids = list(self.index)
+        # row -> market code, a position in market_ids; not np.unique, whose
+        # fixed-width strings drop trailing NULs and would merge "m" and "m\0"
+        self.market_ids = sorted(self.markets)
+        code = {m: i for i, m in enumerate(self.market_ids)}
+        self.market_codes = np.array([code[h.market_id] for h in self.hotels], np.intp)
         self._market_lists: dict[str, tuple[str, ...]] = {}
 
     def __len__(self) -> int:

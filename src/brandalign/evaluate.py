@@ -9,7 +9,10 @@ metric is bit-for-bit reproducible.
 
 import json
 import math
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -37,16 +40,41 @@ class MetricsReport:
         return self.rows[(k, mode, setting)]["mrr"]
 
 
-def make_events(sessions: SessionSet, catalog: HotelCatalog) -> list[PredictionEvent]:
-    market_of = catalog.hotel_market
-    events = []
-    for s in sessions.sessions:
-        for a, b in zip(s.clicks, s.clicks[1:]):
-            if a == b:
-                continue  # degenerate repeat, the truth must differ from the query
-            # an unknown hotel falls through to the catalog's own error
-            events.append(PredictionEvent(a, b, market_of.get(a) or catalog.market_of(a)))
-    return events
+class Events(Sequence):
+    """Prediction events as catalog-index arrays. Event i predicts the click
+    at[i] + 1 from the click at[i]: query and truth are their catalog rows
+    (-1 for a truth outside the catalog, whose id clicks keeps), market the
+    query's HotelCatalog.market_codes. Read one, it is a PredictionEvent."""
+
+    def __init__(self, catalog: HotelCatalog, clicks: list[str], at):
+        self.catalog, self.clicks = catalog, clicks
+        self.at = np.asarray(at, np.intp)
+        rows = np.fromiter(map(catalog.index.get, clicks, repeat(-1)), np.intp,
+                           len(clicks))
+        self.query, self.truth = rows[self.at], rows[self.at + 1]
+        unknown = self.query < 0
+        if unknown.any():  # the first in input order raises the catalog's error
+            catalog.market_of(clicks[self.at[np.argmax(unknown)]])
+        self.market = catalog.market_codes[self.query]
+
+    def __len__(self) -> int:
+        return len(self.at)
+
+    def __getitem__(self, i) -> PredictionEvent:
+        a = self.at[i]
+        return PredictionEvent(self.clicks[a], self.clicks[a + 1],
+                               self.catalog.market_ids[self.market[i]])
+
+
+def make_events(sessions: SessionSet, catalog: HotelCatalog) -> Events:
+    """One event per consecutive pair of distinct clicks of a session; an
+    unknown query is the catalog's DataError."""
+    clicks = [c for s in sessions.sessions for c in s.clicks]
+    session = np.repeat(np.arange(len(sessions)), [len(s.clicks) for s in sessions.sessions])
+    # a repeat (A A) is degenerate: the truth must differ from the query
+    pair = (session[:-1] == session[1:]) & np.fromiter(
+        map(operator.ne, clicks, clicks[1:]), bool, max(len(clicks) - 1, 0))
+    return Events(catalog, clicks, np.flatnonzero(pair))
 
 
 def _check_options(mode: str, pool: str):
@@ -132,27 +160,30 @@ def _pool_ranks(cache: _MarketCache, q_pos, t_pos, mode: str):
     return ranks
 
 
-def _event_ranks(events, catalog: HotelCatalog, get, dim: int, mode: str,
+def _event_ranks(events: Events, catalog: HotelCatalog, get, dim: int, mode: str,
                  skip_missing_query: bool = False, pool: str = "market"):
     """Rank of the truth for every evaluated event (1-based).
 
-    Returns (ranks, skipped_count, missing_candidate_count). A rank is the
-    truth's place in rank_candidates' order, which reads the same _orders:
-    descending score, ties by ascending id, candidates without an embedding
-    after all scored ones (by ascending id).
-    A truth outside the pool (a click into another market) misses: rank inf.
+    Returns (ranks, skipped_count, missing_candidate_count), ranks a float
+    array in input order. A rank is the truth's place in rank_candidates'
+    order, which reads the same _orders: descending score, ties by ascending
+    id, candidates without an embedding after all scored ones (by ascending
+    id). A truth outside the pool (a click into another market) misses:
+    rank inf.
     """
     _check_options(mode, pool)
-    slots: dict[str, list[int]] = {}  # pool key -> event indices, input order
-    for i, ev in enumerate(events):
-        slots.setdefault(ev.market_id if pool == "market" else "", []).append(i)
-    ranks = np.zeros(len(events), np.int64)  # 0: truth outside pool, -1: query absent
+    keys = events.market if pool == "market" else np.zeros(len(events), np.intp)
+    ranks = np.zeros(len(events))  # 0: truth outside pool, -1: query absent
     missing_total = 0
-    for rows in slots.values():
-        cache = _MarketCache(catalog, events[rows[0]].market_id, get, dim, pool)
-        q_pos = np.array([cache.pos[events[i].query] for i in rows])
-        t_pos = np.array([cache.pos.get(events[i].truth, -1) for i in rows])
-        rows, found = np.array(rows), cache.present[q_pos]
+    for key in np.unique(keys):
+        rows = np.flatnonzero(keys == key)
+        # a global cache ignores its market
+        cache = _MarketCache(catalog, catalog.market_ids[key], get, dim, pool)
+        # catalog row -> pool position; the extra last slot is row -1's
+        where = np.full(len(catalog) + 1, -1)
+        where[[catalog.index[h] for h in cache.ids]] = np.arange(len(cache.ids))
+        q_pos, t_pos = where[events.query[rows]], where[events.truth[rows]]
+        found = cache.present[q_pos]
         ranks[rows[~found]] = -1
         missing_total += cache.n_missing * int(np.count_nonzero(found))
         inside = found & (t_pos >= 0)
@@ -160,28 +191,31 @@ def _event_ranks(events, catalog: HotelCatalog, get, dim: int, mode: str,
     if not skip_missing_query and (ranks < 0).any():  # the first in input order
         query = events[int(np.argmax(ranks < 0))].query
         raise ValueError(f"query hotel {query!r} missing from space")
-    kept = ranks[ranks >= 0].tolist()
-    return [r or math.inf for r in kept], len(events) - len(kept), missing_total
+    kept = ranks[ranks >= 0]
+    kept[kept == 0] = math.inf
+    return kept, len(events) - len(kept), missing_total
+
+
+def _checked(ranks, k: int) -> np.ndarray:
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if not len(ranks):
+        raise ValueError("no events to evaluate")
+    return np.asarray(ranks, float)
 
 
 def hits_at_k(ranks, k: int) -> float:
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if not ranks:
-        raise ValueError("no events to evaluate")
-    return sum(1 for r in ranks if r <= k) / len(ranks)
+    ranks = _checked(ranks, k)
+    return int(np.count_nonzero(ranks <= k)) / len(ranks)
 
 
 def mrr_at_k(ranks, k: int) -> float:
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if not ranks:
-        raise ValueError("no events to evaluate")
-    return math.fsum(1.0 / r if r <= k else 0.0 for r in ranks) / len(ranks)
+    ranks = _checked(ranks, k)
+    return math.fsum((1.0 / ranks[ranks <= k]).tolist()) / len(ranks)
 
 
 def _build_report(ranks, ks, mode, setting, metadata) -> MetricsReport:
-    outside = ranks.count(math.inf)
+    outside = int(np.count_nonzero(np.isinf(ranks)))
     if outside:  # only then, so reports of well-formed sessions keep their bytes
         metadata["truth_outside_pool"] = outside
     report = MetricsReport(metadata=metadata)
@@ -226,7 +260,7 @@ def cross_brand_evaluate(test_sessions: SessionSet, source_space: EmbeddingSpace
     ranks, skipped, missing = _event_ranks(events, catalog, get,
                                            source_space.dim, mode,
                                            skip_missing_query=True, pool=pool)
-    if not ranks:
+    if not len(ranks):
         raise ValueError("no evaluable events: every query was unmapped")
     meta = dict(metadata or {})
     meta["skipped_events"] = skipped

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import align, model, synth
-from .evaluate import (_event_ranks, cross_brand_evaluate, evaluate,
+from .evaluate import (Events, _event_ranks, cross_brand_evaluate, evaluate,
                        hits_at_k, make_events)
 from .data import BrandMapping, SessionSet, split_sessions
 from .rng import substream
@@ -82,7 +82,7 @@ def _curve_sink(test_sessions, catalog, seed, rows):
     if len(events) > CURVE_EVENT_CAP:
         idx = substream(seed, "curve-events").choice(len(events), size=CURVE_EVENT_CAP,
                                                      replace=False)
-        events = [events[i] for i in sorted(idx)]
+        events = Events(catalog, events.clicks, events.at[np.sort(idx)])
 
     def sink(step, space):
         ranks, _, _ = _event_ranks(events, catalog, space.vectors.get,

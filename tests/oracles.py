@@ -6,8 +6,9 @@ enriched embedding, the per-hotel export the batched one must reproduce bit
 for bit, a finite-difference gradient checker, a brute-force ranking-metric
 calculator, the per-event ranking loop the blocked ranker must reproduce
 exactly, the string-keyed per-pair training loop the integer-indexed
-trainer must reproduce bit for bit, and a json.loads-per-line session
-loader the one-pass one must agree with.
+trainer must reproduce bit for bit, a json.loads-per-line session
+loader the one-pass one must agree with, and the string loop that the
+index-array prediction events must reproduce.
 """
 
 import json
@@ -536,3 +537,23 @@ def reference_load_sessions(path, hotel_market: dict, brand: str):
         warning = (f"{outside[0]} ({len(outside)} click(s) in this file are "
                    f"outside their session's market)")
     return sessions, warning
+
+
+# ---------------------------------------------------------------------------
+# prediction events: one string pair at a time
+
+def reference_make_events(click_lists, hotel_market: dict):
+    """(query, truth, market_id) tuples of sessions' click lists, as
+    make_events built them before its index arrays: one per consecutive pair
+    of distinct clicks, the market the query's. hotel_market maps each
+    catalog hotel id to its market id; an unknown query raises ValueError
+    with the catalog's message, an unknown truth is kept."""
+    events = []
+    for clicks in click_lists:
+        for a, b in zip(clicks, clicks[1:]):
+            if a == b:
+                continue
+            if a not in hotel_market:
+                raise ValueError(f"unknown hotel_id {a!r}")
+            events.append((a, b, hotel_market[a]))
+    return events

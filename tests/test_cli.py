@@ -216,6 +216,31 @@ def test_train_bad_ratios_is_usage_error(world_dir, tmp_path, capsys):
             f"nonnegative and with a positive sum, got {ratios!r}\n")
 
 
+_RATIOS_8_1 = ("usage error: --ratios must be train:val:test numbers, finite, "
+               "nonnegative and with a positive sum, got '8:1'\n")
+
+
+def test_train_bad_ratios_is_usage_error_before_any_file_is_read(tmp_path, capsys):
+    # the catalog used to be read first: a missing one exited 1 naming it
+    out = tmp_path / "x.emb"
+    rc = main(["train", "--catalog", str(tmp_path / "nope.jsonl"),
+               "--sessions", str(tmp_path / "nope.jsonl"), "--brand", "A",
+               "--out", str(out), "--ratios", "8:1"] + TRAIN_SMALL)
+    assert rc == 2
+    assert capsys.readouterr().err == _RATIOS_8_1
+    assert not out.exists()
+
+
+def test_eval_bad_ratios_without_split_is_usage_error(world_dir, trained, tmp_path,
+                                                      capsys):
+    # without --split the flag used to go unread, and eval exited 0
+    out = tmp_path / "m.jsonl"
+    rc = main(eval_args(world_dir, trained[0], "A", out, "--ratios", "8:1"))
+    assert rc == 2
+    assert capsys.readouterr().err == _RATIOS_8_1
+    assert not out.exists()
+
+
 def test_non_finite_float_settings_are_usage_errors(world_dir, tmp_path, capsys):
     # nan passed every `< 0` check: train --lambda nan trained as lambda 0,
     # and gen --bias nan wrote sessions that clicked 4 of 20 hotels

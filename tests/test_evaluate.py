@@ -1,4 +1,5 @@
 import json
+import math
 import types
 
 import numpy as np
@@ -6,13 +7,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brandalign.data import BrandMapping
-from brandalign.evaluate import (_BLOCK_CELLS, MetricsReport, PredictionEvent,
-                                 _event_ranks, _MarketCache, cross_brand_evaluate,
+from brandalign.data import BrandMapping, ClickSession, DataError, SessionSet
+from brandalign.evaluate import (_BLOCK_CELLS, Events, MetricsReport, PredictionEvent,
+                                 _build_report, _event_ranks, _MarketCache,
+                                 cross_brand_evaluate,
                                  evaluate, hits_at_k, make_events,
                                  mrr_at_k, rank_candidates, write_metrics)
 from conftest import make_catalog, make_sessions, make_space
-from oracles import brute_force_metrics, reference_event_ranks
+from oracles import brute_force_metrics, reference_event_ranks, reference_make_events
+
+
+def events_of(catalog, pairs):
+    """Events of (query, truth) id pairs, through the constructor make_events
+    uses: event i is clicks[2i] -> clicks[2i + 1]."""
+    return Events(catalog, [h for pair in pairs for h in pair], range(0, 2 * len(pairs), 2))
+
+
+def ranks_as_list(result):
+    """_event_ranks' (ranks, skipped, missing) with the float rank array as a
+    list, to compare with reference_event_ranks' list of ints and inf."""
+    ranks, skipped, missing = result
+    assert ranks.dtype == np.float64 and ranks.ndim == 1
+    return ranks.tolist(), skipped, missing
 
 
 def space_of(catalog, vectors, brand="B", dim=None):
@@ -34,21 +50,87 @@ def test_make_events_consecutive_pairs():
     catalog = make_catalog({"m0": ["A", "B", "C"]})
     sessions = make_sessions("X", [["A", "B", "C"]], catalog)
     events = make_events(sessions, catalog)
-    assert events == [PredictionEvent("A", "B", "m0"),
-                      PredictionEvent("B", "C", "m0")]
+    assert list(events) == [PredictionEvent("A", "B", "m0"),
+                            PredictionEvent("B", "C", "m0")]
 
 
 def test_make_events_drops_degenerate_repeats():
     catalog = make_catalog({"m0": ["A", "B"]})
     sessions = make_sessions("X", [["A", "A", "B", "B"]], catalog)
     events = make_events(sessions, catalog)
-    assert events == [PredictionEvent("A", "B", "m0")]
+    assert list(events) == [PredictionEvent("A", "B", "m0")]
 
 
 def test_make_events_single_click_session_contributes_nothing():
     catalog = make_catalog({"m0": ["A", "B"]})
     sessions = make_sessions("X", [["A"]], catalog)
-    assert make_events(sessions, catalog) == []
+    assert list(make_events(sessions, catalog)) == []
+    # nor does an empty one, wherever it stands
+    events = make_events(_session_set([[], ["A"], [], ["A", "B"], []]), catalog)
+    assert list(events) == [("A", "B", "m0")]
+
+
+_EVENT_CATALOG = make_catalog({"m0": ["a", "b", "c"], "m1": ["d", "e"]})
+
+
+def _session_set(click_lists):
+    """Sessions of any click lists, empty ones and unknown hotels included."""
+    return SessionSet("X", [ClickSession(f"s{i}", "X", "m0", tuple(clicks))
+                            for i, clicks in enumerate(click_lists)])
+
+
+# u and v are outside the catalog; doubled letters make repeats (a a b) likely
+@given(st.lists(st.lists(st.sampled_from("aabbcdeuv"), max_size=6), max_size=8))
+@settings(max_examples=300, deadline=None)
+def test_make_events_match_the_string_loop(click_lists):
+    hotel_market = {h.hotel_id: h.market_id for h in _EVENT_CATALOG.hotels}
+    sessions = _session_set(click_lists)
+    try:
+        expected = reference_make_events(click_lists, hotel_market)
+    except ValueError as exc:  # an unknown query
+        with pytest.raises(DataError) as raised:
+            make_events(sessions, _EVENT_CATALOG)
+        assert str(raised.value) == str(exc)
+        return
+    events = make_events(sessions, _EVENT_CATALOG)
+    assert list(events) == expected
+    assert len(events) == len(expected)
+    assert [events[i] for i in range(-len(expected), 0)] == expected
+    for i in (len(expected), -len(expected) - 1):
+        with pytest.raises(IndexError):
+            events[i]
+
+
+def test_make_events_raise_the_catalog_error_for_the_first_unknown_query():
+    # a repeated unknown click (u u) is no event, so it raises nothing
+    sessions = _session_set([["a", "u", "u"], ["b", "v", "a"], ["u", "b"]])
+    with pytest.raises(DataError, match=r"^unknown hotel_id 'v'$"):
+        make_events(sessions, _EVENT_CATALOG)
+
+
+def test_a_truth_outside_the_catalog_is_kept_and_ranks_outside_the_pool():
+    sessions = _session_set([["a", "zz", "zz"], ["a", "b"]])
+    events = make_events(sessions, _EVENT_CATALOG)
+    assert list(events) == [("a", "zz", "m0"), ("a", "b", "m0")]
+    assert events.truth.tolist() == [-1, 1]
+    space = space_of(_EVENT_CATALOG, {h: [1.0, 0.0] for h in "abcde"})
+    args = (events, _EVENT_CATALOG, space.vectors.get, 2, "cosine")
+    for pool in ("market", "global"):
+        assert (ranks_as_list(_event_ranks(*args, pool=pool))
+                == reference_event_ranks(*args, pool=pool) == ([math.inf, 1], 0, 0))
+    rep = evaluate(sessions, space, _EVENT_CATALOG, ks=(1,))
+    assert rep.metadata["truth_outside_pool"] == 1
+    assert rep.hits(1, "cosine", "in_brand") == 0.5
+
+
+def test_markets_whose_ids_differ_by_a_trailing_nul_stay_apart():
+    # numpy's fixed-width strings would read both market ids as "m"
+    catalog = make_catalog({"m": ["a", "b"], "m\0": ["c", "d", "e"]})
+    events = make_events(_session_set([["a", "b"], ["c", "e"]]), catalog)
+    assert list(events) == [("a", "b", "m"), ("c", "e", "m\0")]
+    space = space_of(catalog, {h: [1.0, 0.0] for h in "abcde"})
+    assert ranks_as_list(_event_ranks(events, catalog, space.vectors.get, 2,
+                                      "cosine")) == ([1, 2], 0, 0)
 
 
 def test_pool_is_the_market_or_the_catalog_minus_the_query():
@@ -138,6 +220,38 @@ def test_hits_and_mrr_hand_example():
 def test_hits_at_one():
     assert hits_at_k([1, 2, 1, 3], 1) == 0.5
     assert mrr_at_k([1, 2, 1, 3], 1) == 0.5
+
+
+@given(ranks=st.lists(st.one_of(st.integers(1, 300), st.just(math.inf)),
+                     min_size=1, max_size=200),
+       k=st.integers(1, 1000))
+@settings(max_examples=200, deadline=None)
+def test_hits_and_mrr_keep_the_bits_of_the_per_rank_sums(ranks, k):
+    n = len(ranks)
+    for form in (ranks, np.array(ranks, float)):
+        assert hits_at_k(form, k) == sum(1 for r in ranks if r <= k) / n
+        assert mrr_at_k(form, k) == math.fsum(1.0 / r if r <= k else 0.0
+                                              for r in ranks) / n
+
+
+def test_report_rows_keep_the_bits_of_the_per_rank_sums():
+    # a palette of 3 vectors ties most scores, cross-market truths rank inf,
+    # and k = 100 and 1000 exceed a 60-hotel market pool
+    catalog, vectors, events = _ranker_world(4, 2, 60, 3, 300, 3, 0.1, 0.2)
+    ks = (1, 10, 100, 1000)
+    for pool in ("market", "global"):
+        for mode in ("cosine", "model"):
+            args = (events, catalog, vectors.get, 3, mode)
+            expected = reference_event_ranks(*args, skip_missing_query=True, pool=pool)[0]
+            ranks = _event_ranks(*args, skip_missing_query=True, pool=pool)[0]
+            report = _build_report(ranks, ks, mode, "in_brand", {})
+            n = len(expected)
+            assert len(set(expected)) < n and (pool == "global") != (math.inf in expected)
+            for k in ks:
+                assert report.rows[(k, mode, "in_brand")] == {
+                    "hits": sum(1 for r in expected if r <= k) / n,
+                    "mrr": math.fsum(1.0 / r if r <= k else 0.0 for r in expected) / n,
+                    "n_events": n}
 
 
 def test_metrics_reject_empty_or_bad_k():
@@ -328,7 +442,7 @@ def _ranker_world(seed, n_markets, market_size, dim, n_events, palette,
             continue
         vectors[h] = (colours[rng.integers(palette)].copy() if palette
                       else rng.normal(size=dim) * (rng.random() > 0.05))
-    events = []
+    pairs = []
     for _ in range(n_events):
         m = f"m{rng.integers(n_markets)}"
         query = markets[m][rng.integers(market_size)]
@@ -337,8 +451,8 @@ def _ranker_world(seed, n_markets, market_size, dim, n_events, palette,
         else:
             truth = markets[m][rng.integers(market_size)]
         if truth != query:
-            events.append(PredictionEvent(query, truth, m))
-    return catalog, vectors, events
+            pairs.append((query, truth))
+    return catalog, vectors, events_of(catalog, pairs)
 
 
 @given(seed=st.integers(0, 2 ** 32 - 1), n_markets=st.integers(1, 3),
@@ -362,8 +476,7 @@ def test_event_ranks_match_the_per_event_reference(seed, n_markets, market_size,
         assert str(raised.value) == str(exc)
         return
     got = _event_ranks(*args, skip_missing_query=skip, pool=pool)
-    assert got == expected
-    assert [type(r) for r in got[0]] == [type(r) for r in expected[0]]
+    assert ranks_as_list(got) == expected
 
 
 def test_event_ranks_match_the_reference_across_several_blocks():
@@ -373,7 +486,7 @@ def test_event_ranks_match_the_reference_across_several_blocks():
         assert len(events) > 4 * (_BLOCK_CELLS // n)
         for mode in ("cosine", "model"):
             args = (events, catalog, vectors.get, 4, mode)
-            assert (_event_ranks(*args, skip_missing_query=True, pool=pool)
+            assert (ranks_as_list(_event_ranks(*args, skip_missing_query=True, pool=pool))
                     == reference_event_ranks(*args, skip_missing_query=True,
                                              pool=pool))
 
@@ -381,23 +494,23 @@ def test_event_ranks_match_the_reference_across_several_blocks():
 def test_event_ranks_name_the_first_missing_query_in_input_order():
     catalog = make_catalog({"m0": ["a", "b", "c"], "m1": ["x", "y", "z"]})
     vectors = {h: np.ones(2) for h in ("a", "c", "y")}
-    events = [PredictionEvent("a", "b", "m0"), PredictionEvent("z", "y", "m1"),
-              PredictionEvent("b", "a", "m0")]
+    events = events_of(catalog, [("a", "b"), ("z", "y"), ("b", "a")])
     with pytest.raises(ValueError, match=r"^query hotel 'z' missing from space$"):
         _event_ranks(events, catalog, vectors.get, 2, "cosine")
 
 
-def _shared_query_events(catalog, markets, rng, n_queries, per_query):
-    """per_query events for each of n_queries queries of every market, in a
-    shuffled input order; a few are self-clicks (truth == query), which
-    make_events never emits but the ranker defines: the query's own place."""
-    events = []
-    for m, ids in markets.items():
+def _shared_query_pairs(catalog, markets, rng, n_queries, per_query):
+    """per_query (query, truth) pairs for each of n_queries queries of every
+    market, in a shuffled input order; a few are self-clicks (truth ==
+    query), which make_events never emits but the ranker defines: the
+    query's own place."""
+    pairs = []
+    for ids in markets.values():
         for q in rng.choice(ids, size=n_queries, replace=False):
             truths = rng.choice(catalog.hotel_ids, size=per_query)
             truths[0] = q
-            events += [PredictionEvent(str(q), str(t), m) for t in truths]
-    return [events[i] for i in rng.permutation(len(events))]
+            pairs += [(str(q), str(t)) for t in truths]
+    return [pairs[i] for i in rng.permutation(len(pairs))]
 
 
 def test_event_ranks_score_shared_queries_over_several_blocks():
@@ -407,14 +520,14 @@ def test_event_ranks_score_shared_queries_over_several_blocks():
     vectors = {h: rng.normal(size=5) for h in catalog.hotel_ids[::2]}
     vectors.update((h, rng.normal(size=5) * (rng.random() > 0.2))
                    for h in catalog.hotel_ids[1::2] if rng.random() > 0.1)
-    events = _shared_query_events(catalog, markets, rng, 200, 6)
+    events = events_of(catalog, _shared_query_pairs(catalog, markets, rng, 200, 6))
     for pool, n, distinct in (("market", 300, 200), ("global", 600, 400)):
         assert distinct > 3 * (_BLOCK_CELLS // n)  # queries of a pool span >3 blocks
         for mode in ("cosine", "model"):
             args = (events, catalog, vectors.get, 5, mode)
             got = _event_ranks(*args, skip_missing_query=True, pool=pool)
-            assert got == reference_event_ranks(*args, skip_missing_query=True,
-                                                pool=pool)
+            assert ranks_as_list(got) == reference_event_ranks(
+                *args, skip_missing_query=True, pool=pool)
             assert got[1] > 0  # queries without an embedding were skipped
 
 
@@ -429,14 +542,14 @@ def test_event_ranks_order_signed_zero_and_all_zero_ties_by_id():
                for i, h in enumerate(catalog.hotel_ids)}
     vectors["h000"] = np.array([-0.0, 0.0, -0.0])
     assert sum(np.signbit(v).any() and not v.any() for v in vectors.values()) > 100
-    events = _shared_query_events(catalog, markets, rng, 60, 8)
-    events.append(PredictionEvent("h000", "h399", "m0"))
+    pairs = _shared_query_pairs(catalog, markets, rng, 60, 8) + [("h000", "h399")]
+    events = events_of(catalog, pairs)
     for mode in ("model", "cosine"):
         args = (events, catalog, vectors.get, 3, mode)
-        assert _event_ranks(*args) == reference_event_ranks(*args)
-    ranks = _event_ranks([PredictionEvent("h000", h, "m0") for h in ("h001", "h399")],
+        assert ranks_as_list(_event_ranks(*args)) == reference_event_ranks(*args)
+    ranks = _event_ranks(events_of(catalog, [("h000", "h001"), ("h000", "h399")]),
                          catalog, vectors.get, 3, "model")[0]
-    assert ranks == [1, 399]
+    assert ranks.tolist() == [1, 399]
 
 
 def test_event_ranks_keep_input_order_across_interleaved_markets():
@@ -446,8 +559,9 @@ def test_event_ranks_keep_input_order_across_interleaved_markets():
     mixed += [ev for ev in events if ev not in mixed]
     for pool in ("market", "global"):
         for order in (mixed, mixed[::-1]):
-            args = (order, catalog, vectors.get, 4, "cosine")
-            assert (_event_ranks(*args, skip_missing_query=True, pool=pool)
+            args = (events_of(catalog, [ev[:2] for ev in order]), catalog, vectors.get, 4,
+                    "cosine")
+            assert (ranks_as_list(_event_ranks(*args, skip_missing_query=True, pool=pool))
                     == reference_event_ranks(*args, skip_missing_query=True,
                                              pool=pool))
 
@@ -462,14 +576,14 @@ def test_rank_candidates_is_the_order_event_ranks_read(seed):
     rows = rng.normal(size=(8, 32))
     space = space_of(catalog, {h: rows[rng.integers(8)].copy()
                                for h in catalog.hotel_ids})
-    events = [PredictionEvent(q, t, m) for m, ids in markets.items()
-              for q, t in rng.choice(ids, size=(10, 2)) if q != t]
+    events = events_of(catalog, [(q, t) for ids in markets.values()
+                                 for q, t in rng.choice(ids, size=(10, 2)) if q != t])
     for mode in ("cosine", "model"):
         for pool in ("market", "global"):
             ranks, _, _ = _event_ranks(events, catalog, space.vectors.get, 32,
                                        mode, pool=pool)
             assert [rank_candidates(ev, space, catalog, mode=mode, pool=pool)
-                    .index(ev.truth) + 1 for ev in events] == ranks
+                    .index(ev.truth) + 1 for ev in events] == ranks.tolist()
 
 
 def test_cosine_query_norms_equal_the_one_vector_norm_bit_for_bit():
