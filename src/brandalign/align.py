@@ -19,7 +19,6 @@ class ProjectionMatrix:
     w: np.ndarray            # d_s x d_t
     kind: str                # "least_squares" | "orthogonal"
     fit_residual: float      # ||S W - T||_F over the common rows
-    degenerate: bool = False
 
 
 def common_rows(source: EmbeddingSpace, target: EmbeddingSpace,
@@ -58,15 +57,10 @@ def fit_procrustes(s: np.ndarray, t: np.ndarray) -> ProjectionMatrix:
     orthogonal matrices."""
     if s.shape != t.shape:
         raise ValueError("Procrustes needs equal-shape S and T")
-    u, sigma, vt = np.linalg.svd(s.T @ t)
+    u, _, vt = np.linalg.svd(s.T @ t)
     w = u @ vt
-    # repeated or zero singular values leave the minimizer non-unique
-    degenerate = bool(np.min(sigma) < 1e-10
-                      or np.min(np.abs(np.diff(sigma))) < 1e-10) if len(sigma) > 1 \
-        else bool(sigma[0] < 1e-10)
     residual = float(np.linalg.norm(s @ w - t, "fro"))
-    return ProjectionMatrix(w=w, kind="orthogonal", fit_residual=residual,
-                            degenerate=degenerate)
+    return ProjectionMatrix(w=w, kind="orthogonal", fit_residual=residual)
 
 
 def apply_projection(space: EmbeddingSpace, proj: ProjectionMatrix) -> EmbeddingSpace:

@@ -149,6 +149,8 @@ def cmd_eval(args) -> int:
     if not 0 <= args.missing_threshold <= 1:
         raise UsageError(f"--missing-threshold must be in [0, 1], "
                          f"got {args.missing_threshold}")
+    if args.cross_brand and not args.mapping:
+        raise UsageError("--cross-brand requires --mapping")
     catalog = load_catalog(args.catalog)
     sessions = _load_split(args, catalog, ratios)
     space = model.read_embeddings(args.embeddings)
@@ -161,8 +163,6 @@ def cmd_eval(args) -> int:
     metadata = {"embeddings": args.embeddings, "mode": args.mode,
                 "pool": args.pool, "seed": args.seed, "split": args.split}
     if args.cross_brand:
-        if not args.mapping:
-            raise UsageError("--cross-brand requires --mapping")
         mapping = load_mapping(args.mapping)
         report = cross_brand_evaluate(
             sessions, space, mapping, catalog, mode=args.mode, ks=ks,

@@ -103,7 +103,8 @@ class HotelCatalog:
             raise DataError("empty catalog")
         self.hotels = list(hotels)
         self.index: dict[str, int] = {}  # hotel id -> row, the shared id order
-        self.hotel_market: dict[str, str] = {}  # hotel id -> market id
+        # market id -> its hotel ids: load_sessions checks a session's clicks
+        # against its market with one issuperset call
         self.markets: dict[str, set[str]] = {}
         first = self.hotels[0]
         for row, h in enumerate(self.hotels):
@@ -113,7 +114,6 @@ class HotelCatalog:
             if problem:
                 raise CatalogError(row, f"hotel {h.hotel_id!r}: {problem}")
             self.index[h.hotel_id] = row
-            self.hotel_market[h.hotel_id] = h.market_id
             self.markets.setdefault(h.market_id, set()).add(h.hotel_id)
         self.amenity_dim = len(first.amenities)
         self.geo_dim = len(first.geo)
@@ -125,7 +125,13 @@ class HotelCatalog:
         self.market_ids = sorted(self.markets)
         code = {m: i for i, m in enumerate(self.market_ids)}
         self.market_codes = np.array([code[h.market_id] for h in self.hotels], np.intp)
-        self._market_lists: dict[str, tuple[str, ...]] = {}
+        # rows in ascending hotel id (Python string order), and members[code]
+        # the market's rows in that order
+        self.id_order = np.array(sorted(range(len(self.hotels)),
+                                        key=self.hotel_ids.__getitem__), np.intp)
+        by_market = self.id_order[np.argsort(self.market_codes[self.id_order],
+                                             kind="stable")]
+        self.members = np.split(by_market, np.cumsum(np.bincount(self.market_codes))[:-1])
 
     def __len__(self) -> int:
         return len(self.hotels)
@@ -133,23 +139,11 @@ class HotelCatalog:
     def __contains__(self, hotel_id: str) -> bool:
         return hotel_id in self.index
 
-    def record(self, hotel_id: str) -> HotelRecord:
-        try:
-            return self.hotels[self.index[hotel_id]]
-        except KeyError:
-            raise DataError(f"unknown hotel_id {hotel_id!r}") from None
-
     def market_of(self, hotel_id: str) -> str:
         try:
-            return self.hotel_market[hotel_id]
+            return self.market_ids[self.market_codes[self.index[hotel_id]]]
         except KeyError:
             raise DataError(f"unknown hotel_id {hotel_id!r}") from None
-
-    def market_list(self, market_id: str) -> tuple[str, ...]:
-        """Members of a market in ascending id order (cached)."""
-        if market_id not in self._market_lists:
-            self._market_lists[market_id] = tuple(sorted(self.markets[market_id]))
-        return self._market_lists[market_id]
 
 
 class ClickSession(NamedTuple):
@@ -246,7 +240,7 @@ def load_catalog(path) -> HotelCatalog:
 
 def load_sessions(path, catalog: HotelCatalog, brand: str) -> SessionSet:
     sessions, outside = [], []  # clicks outside their session's market
-    markets, market_of = catalog.markets, catalog.hotel_market
+    markets = catalog.markets
     for lineno, obj in _parse_lines(path):
         try:
             if not isinstance(obj["clicks"], list):
@@ -260,11 +254,11 @@ def load_sessions(path, catalog: HotelCatalog, brand: str) -> SessionSet:
             raise DataError(f"{path}:{lineno}: session {session.session_id!r} has no clicks")
         if not markets.get(session.market_id, set()).issuperset(session.clicks):
             for c in session.clicks:  # an unknown hotel, or clicks in other markets
-                if c not in market_of:
+                if c not in catalog:
                     raise DataError(
                         f"{path}:{lineno}: session {session.session_id!r} references "
                         f"unknown hotel {c!r}")
-                if market_of[c] != session.market_id:
+                if catalog.market_of(c) != session.market_id:
                     outside.append(
                         f"{path}:{lineno}: session {session.session_id!r} click {c!r} "
                         f"is outside market {session.market_id!r}")

@@ -71,7 +71,7 @@ def make_events(sessions: SessionSet, catalog: HotelCatalog) -> Events:
     unknown query is the catalog's DataError."""
     clicks = [c for s in sessions.sessions for c in s.clicks]
     session = np.repeat(np.arange(len(sessions)), [len(s.clicks) for s in sessions.sessions])
-    # a repeat (A A) is degenerate: the truth must differ from the query
+    # a repeat (A A) is no event: the truth must differ from the query
     pair = (session[:-1] == session[1:]) & np.fromiter(
         map(operator.ne, clicks, clicks[1:]), bool, max(len(clicks) - 1, 0))
     return Events(catalog, clicks, np.flatnonzero(pair))
@@ -88,12 +88,11 @@ class _MarketCache:
     """Per-market (or whole-catalog) candidate table resolved against one
     embedding space."""
 
-    def __init__(self, catalog: HotelCatalog, market_id: str, get, dim: int,
+    def __init__(self, catalog: HotelCatalog, code: int, get, dim: int,
                  pool: str = "market"):
-        if pool == "market":
-            self.ids = catalog.market_list(market_id)  # ascending
-        else:
-            self.ids = tuple(sorted(catalog.index))
+        # catalog rows in ascending id; a global cache ignores code
+        self.rows = catalog.members[code] if pool == "market" else catalog.id_order
+        self.ids = [catalog.hotel_ids[r] for r in self.rows.tolist()]
         vecs = [get(h) for h in self.ids]
         self.present = np.array([v is not None for v in vecs])
         self.matrix = np.stack([np.zeros(dim) if v is None else v for v in vecs])
@@ -101,7 +100,6 @@ class _MarketCache:
         m = self.matrix  # cosine query norms with the bits of 1-D np.linalg.norm
         self.q_norms = np.sqrt(np.matmul(m[:, None], m[:, :, None])[:, 0, 0])
         self.n_missing = int(np.sum(~self.present))
-        self.pos = {h: i for i, h in enumerate(self.ids)}
 
 
 _BLOCK_CELLS = 2 ** 14  # score cells (queries x candidates) per block: 128 KB
@@ -128,9 +126,9 @@ def rank_candidates(event: PredictionEvent, space: EmbeddingSpace,
     descending score, ties by ascending hotel id, candidates without an
     embedding at the end (also by ascending id)."""
     _check_options(mode, pool)
-    cache = _MarketCache(catalog, event.market_id, lookup or space.vectors.get,
-                         space.dim, pool)
-    q = cache.pos[event.query]
+    cache = _MarketCache(catalog, catalog.market_ids.index(event.market_id),
+                         lookup or space.vectors.get, space.dim, pool)
+    q = cache.ids.index(event.query)
     if not cache.present[q]:
         raise ValueError(f"query hotel {event.query!r} missing from space")
     ids = cache.ids
@@ -177,11 +175,10 @@ def _event_ranks(events: Events, catalog: HotelCatalog, get, dim: int, mode: str
     missing_total = 0
     for key in np.unique(keys):
         rows = np.flatnonzero(keys == key)
-        # a global cache ignores its market
-        cache = _MarketCache(catalog, catalog.market_ids[key], get, dim, pool)
+        cache = _MarketCache(catalog, key, get, dim, pool)
         # catalog row -> pool position; the extra last slot is row -1's
         where = np.full(len(catalog) + 1, -1)
-        where[[catalog.index[h] for h in cache.ids]] = np.arange(len(cache.ids))
+        where[cache.rows] = np.arange(len(cache.rows))
         q_pos, t_pos = where[events.query[rows]], where[events.truth[rows]]
         found = cache.present[q_pos]
         ranks[rows[~found]] = -1

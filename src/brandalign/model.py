@@ -5,8 +5,8 @@ Every hotel is embedded as relu([V_c, V_a, V_g] @ W_e) where each V_* is a
 normalize-then-relu projection of an input feature vector (the click one-hot,
 amenities, geo). Training is per-pair SGNS with negatives drawn from the
 target hotel's market. When a frozen source-brand space is supplied, a
-penalty lam * ||V_target - V_source|| (or its square) ties each mapped
-hotel's embedding to its source counterpart.
+penalty lam * ||V_target - V_source|| (or its square) ties each training
+pair's target hotel, when it is mapped, to its source counterpart.
 """
 
 import math

@@ -67,15 +67,14 @@ def build_epoch_stream(sessions: SessionSet, catalog: HotelCatalog,
     Sessions are shuffled deterministically by (seed, epoch_index); pairs that
     cannot receive negatives are skipped and counted into skip_counter[0].
     """
-    index = catalog.index
-    pools = [[index[h] for h in catalog.market_list(m)] for m in catalog.markets]
-    pool_of = {i: pool for pool in pools for i in pool}  # catalog index -> pool
+    index, market = catalog.index, catalog.market_codes.tolist()
+    pools = [rows.tolist() for rows in catalog.members]
     order = substream(seed, "shuffle", epoch_index).permutation(len(sessions))
     words = random_words(substream(seed, "negatives", epoch_index))
     for si in order:
         for target, context in make_pairs(sessions.sessions[si], window):
             t, c = index[target], index[context]
-            negs = sample_negatives(pool_of[t], t, c, n_neg, words)
+            negs = sample_negatives(pools[market[t]], t, c, n_neg, words)
             if negs is None:
                 if skip_counter is not None:
                     skip_counter[0] += 1

@@ -116,8 +116,8 @@ def generate_sessions(world: World, brand: str, cfg: WorldConfig) -> SessionSet:
 
     # per-market tables: member ids, transition kernel, brand popularity
     tables = {}
-    for market_id in world.market_ids:
-        members = catalog.market_list(market_id)
+    for market_id, rows in zip(catalog.market_ids, catalog.members):
+        members = [catalog.hotel_ids[r] for r in rows.tolist()]
         L = np.stack([world.latent[h] for h in members])
         kernel = np.exp(KERNEL_SHARPNESS * (L @ L.T))
         pop = np.array([world.brand_popularity[(brand, h)] for h in members])

@@ -43,8 +43,8 @@ class PairSkipped(Exception):
 def straight_line_embedding(hotel_id: str, params: ModelParams,
                             catalog: HotelCatalog) -> np.ndarray:
     """Naive recomputation of the enriched embedding from the definitions."""
-    record = catalog.record(hotel_id)
     idx = catalog.index[hotel_id]
+    record = catalog.hotels[idx]
 
     def norm_relu(y):
         n = float(np.sqrt(np.sum(y * y)))
@@ -183,11 +183,16 @@ def brute_force_metrics(events, space_vectors, catalog, mode, k,
 # the package ranked events before scoring them in blocks per market.
 # _event_ranks() must return the same ranks, skip count and missing count.
 
+def _market_members(catalog, market_id):
+    """The market's hotel ids in ascending order, read off the records."""
+    return sorted(h.hotel_id for h in catalog.hotels if h.market_id == market_id)
+
+
 def _reference_pool(catalog, market_id, get, dim, pool):
     if pool == "market":
-        ids = catalog.market_list(market_id)
+        ids = _market_members(catalog, market_id)
     else:
-        ids = tuple(sorted(catalog.index))
+        ids = sorted(h.hotel_id for h in catalog.hotels)
     vecs = [get(h) for h in ids]
     present = np.array([v is not None for v in vecs])
     matrix = np.stack([v if v is not None else np.zeros(dim) for v in vecs])
@@ -268,13 +273,12 @@ def _make_pairs(session, window):
     return out
 
 
-def _sample_negatives(catalog, target, context, n_neg, rng):
-    market = catalog.market_of(target)
-    members = catalog.market_list(market)
+def _sample_negatives(members, target, context, n_neg, rng):
+    """n_neg draws from members, the target's market in ascending id order."""
     excluded = {target, context}
-    n_eligible = len(members) - sum(1 for e in excluded if e in catalog.markets[market])
+    n_eligible = len(members) - sum(1 for e in excluded if e in members)
     if n_eligible <= 0:
-        raise PairSkipped(f"market {market!r} has no eligible negatives")
+        raise PairSkipped(f"the market of {target!r} has no eligible negatives")
     out = []
     while len(out) < n_neg:
         for i in rng.integers(0, len(members), size=n_neg - len(out)):
@@ -288,11 +292,14 @@ def reference_epoch_stream(sessions, catalog, window, n_neg, seed, epoch_index,
                            skip_counter=None):
     order = substream(seed, "shuffle", epoch_index).permutation(len(sessions))
     neg_rng = substream(seed, "negatives", epoch_index)
+    market = {h.hotel_id: h.market_id for h in catalog.hotels}
+    pools = {m: _market_members(catalog, m) for m in set(market.values())}
     for si in order:
         session = sessions.sessions[si]
         for target, context in _make_pairs(session, window):
             try:
-                negs = _sample_negatives(catalog, target, context, n_neg, neg_rng)
+                negs = _sample_negatives(pools[market[target]], target, context, n_neg,
+                                         neg_rng)
             except PairSkipped:
                 if skip_counter is not None:
                     skip_counter[0] += 1

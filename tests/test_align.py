@@ -104,7 +104,6 @@ def test_procrustes_recovers_planted_orthogonal_50_instances():
         assert np.max(np.abs(proj.w - q)) < 1e-6, f"seed {seed}"
         assert proj.fit_residual < 1e-6
         assert proj.kind == "orthogonal"
-        assert not proj.degenerate
 
 
 def test_procrustes_residual_never_below_lstsq():
@@ -134,13 +133,6 @@ def test_procrustes_output_is_orthogonal_even_with_noise():
         s, t, _ = random_spaces(seed, n=20, d=5, noise=1.0)
         w = fit_procrustes(s, t).w
         assert np.max(np.abs(w.T @ w - np.eye(5))) < 1e-10
-
-
-def test_procrustes_degenerate_flag_on_rank_deficient_input():
-    s = np.zeros((4, 3))
-    s[:, 0] = [1.0, 2.0, 3.0, 4.0]   # rank 1 -> zero singular values in S^T T
-    proj = fit_procrustes(s, s)
-    assert proj.degenerate
 
 
 def test_duplicated_rows_leave_lstsq_solution_unchanged():

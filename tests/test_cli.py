@@ -241,6 +241,20 @@ def test_eval_bad_ratios_without_split_is_usage_error(world_dir, trained, tmp_pa
     assert not out.exists()
 
 
+def test_eval_cross_brand_without_mapping_is_usage_error_before_any_file_is_read(
+        tmp_path, capsys):
+    # the catalog, sessions and embeddings used to be read first: a missing
+    # catalog exited 1 naming it
+    out = tmp_path / "m.jsonl"
+    missing = str(tmp_path / "nope.jsonl")
+    rc = main(["eval", "--catalog", missing, "--sessions", missing, "--brand", "B",
+               "--embeddings", str(tmp_path / "nope.emb"), "--cross-brand",
+               "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == "usage error: --cross-brand requires --mapping\n"
+    assert not out.exists()
+
+
 def test_non_finite_float_settings_are_usage_errors(world_dir, tmp_path, capsys):
     # nan passed every `< 0` check: train --lambda nan trained as lambda 0,
     # and gen --bias nan wrote sessions that clicked 4 of 20 hotels

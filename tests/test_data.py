@@ -10,9 +10,11 @@ from brandalign.align import read_projection
 from brandalign.data import (BrandMapping, ClickSession, DataError, HotelCatalog,
                              HotelRecord, SessionSet, load_catalog, load_mapping,
                              load_sessions, split_sessions, split_sizes)
+from brandalign.evaluate import _event_ranks, make_events
 from brandalign.model import read_embeddings
+from brandalign.pairs import build_epoch_stream
 from conftest import make_catalog, make_sessions
-from oracles import reference_load_sessions
+from oracles import reference_epoch_stream, reference_event_ranks, reference_load_sessions
 
 
 def _write_lines(path, objs):
@@ -135,6 +137,42 @@ def test_catalog_rejects_out_of_range_features():
     bad_geo = [HotelRecord("h0", "m0", np.array([0.5, 0.0]), np.array([0.0, -2.0]))]
     with pytest.raises(DataError, match="geo"):
         HotelCatalog(bad_geo)
+
+
+def test_market_table_of_interleaved_markets_with_ids_out_of_row_order():
+    # rows h10, h2, h1 of "m" sort as h1, h10, h2; "m\0" is its own market
+    layout = [("h10", "m"), ("h3", "m\0"), ("h2", "m"), ("h7", "m\0"),
+              ("h1", "m"), ("h30", "m\0"), ("h4", "m\0")]
+    rng = np.random.default_rng(5)
+    catalog = HotelCatalog([HotelRecord(h, m, rng.uniform(0, 1, 2), rng.uniform(-1, 1, 2))
+                            for h, m in layout])
+    assert catalog.market_ids == ["m", "m\0"]
+    assert catalog.id_order.tolist() == [4, 0, 2, 1, 5, 6, 3]
+    assert [[catalog.hotel_ids[r] for r in rows] for rows in catalog.members] == [
+        ["h1", "h10", "h2"], ["h3", "h30", "h4", "h7"]]
+
+    sessions = SessionSet("A", [
+        ClickSession("s0", "A", "m", ("h10", "h2", "h1", "h10")),
+        ClickSession("s1", "A", "m\0", ("h7", "h30", "h4", "h3", "h30")),
+        ClickSession("s2", "A", "m", ("h2", "h7", "h1"))])  # h7 is in "m\0"
+    ids = catalog.hotel_ids
+    for epoch in range(3):
+        got_skips, want_skips = [0], [0]
+        got = [tuple(ids[i] for i in pair) for pair in build_epoch_stream(
+            sessions, catalog, 2, 2, 9, epoch, got_skips)]
+        want = [(p.target, p.context, *p.negatives) for p in reference_epoch_stream(
+            sessions, catalog, 2, 2, 9, epoch, want_skips)]
+        assert got == want and got_skips == want_skips
+
+    events = make_events(sessions, catalog)
+    # two vectors only, so most candidates tie and the id order decides
+    vectors = {h: [1.0, float(i % 2)] for i, h in enumerate(ids)}
+    for mode in ("cosine", "model"):
+        for pool in ("market", "global"):
+            args = (events, catalog, vectors.get, 2, mode)
+            ranks, skipped, missing = _event_ranks(*args, pool=pool)
+            assert (ranks.tolist(), skipped, missing) == reference_event_ranks(
+                *args, pool=pool)
 
 
 # ---------------------------------------------------------------------------

@@ -593,7 +593,7 @@ def test_cosine_query_norms_equal_the_one_vector_norm_bit_for_bit():
         for scale in (1e-200, 1e-3, 1.0, 1e4, 1e150):
             vectors = {h: rng.normal(size=dim) * scale * (rng.random() > 0.1)
                        for h in catalog.hotel_ids}
-            cache = _MarketCache(catalog, "m0", vectors.get, dim)
+            cache = _MarketCache(catalog, 0, vectors.get, dim)
             one_by_one = np.array([np.linalg.norm(vectors[h]) for h in cache.ids])
             assert cache.q_norms.tobytes() == one_by_one.tobytes()
 

@@ -12,7 +12,8 @@ from conftest import make_catalog, make_sessions
 
 def _pool(catalog, hotel):
     """The hotel ids of hotel's market: the pool its negatives come from."""
-    return catalog.market_list(catalog.market_of(hotel))
+    code = catalog.market_codes[catalog.index[hotel]]
+    return [catalog.hotel_ids[r] for r in catalog.members[code]]
 
 
 def _session(clicks, market="m0", brand="A"):

@@ -36,8 +36,8 @@ def test_world_is_deterministic():
     b = generate_world(tiny_cfg())
     for hid in a.catalog.hotel_ids:
         assert np.array_equal(a.latent[hid], b.latent[hid])
-        assert np.array_equal(a.catalog.record(hid).amenities,
-                              b.catalog.record(hid).amenities)
+        assert np.array_equal(a.catalog.hotels[a.catalog.index[hid]].amenities,
+                              b.catalog.hotels[b.catalog.index[hid]].amenities)
     assert a.brand_popularity == b.brand_popularity
 
 
@@ -201,8 +201,8 @@ def test_writers_roundtrip(tmp_path):
     catalog = load_catalog(cpath)
     assert catalog.hotel_ids == world.catalog.hotel_ids
     for hid in catalog.hotel_ids:
-        assert np.allclose(catalog.record(hid).amenities,
-                           world.catalog.record(hid).amenities)
+        assert np.allclose(catalog.hotels[catalog.index[hid]].amenities,
+                           world.catalog.hotels[world.catalog.index[hid]].amenities)
 
     loaded = load_sessions(spath, catalog, brand="A")
     assert [s.clicks for s in loaded.sessions] == \
