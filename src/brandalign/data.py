@@ -2,7 +2,9 @@
 
 File formats (all UTF-8):
   catalog:  one JSON object per line with keys hotel_id, market_id,
-            amenities (list of numbers in [0,1]), geo (list in [-1,1])
+            amenities (list of numbers in [0,1]), geo (list in [-1,1]);
+            hotel ids are non-empty and hold no whitespace: embedding
+            files are whitespace-separated and mapping files tab-separated
   sessions: one JSON object per line with keys session_id, brand,
             market_id, clicks (list of hotel-id strings)
   mapping:  tab-separated `source_hotel_id<TAB>target_hotel_id`, no header
@@ -108,6 +110,9 @@ class HotelCatalog:
         self.markets: dict[str, set[str]] = {}
         first = self.hotels[0]
         for row, h in enumerate(self.hotels):
+            if h.hotel_id.split() != [h.hotel_id]:  # as read_embeddings splits
+                raise CatalogError(row, f"hotel {h.hotel_id!r}: id is empty or "
+                                        f"holds whitespace")
             if h.hotel_id in self.index:
                 raise CatalogError(row, f"duplicate hotel_id {h.hotel_id!r}")
             problem = _record_problem(h, first)

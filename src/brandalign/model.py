@@ -142,7 +142,7 @@ def _expit(x: float) -> float:
 
 class StepContext:
     """What the per-pair step reads besides the hotels: the parameters, the
-    feature matrices, the config and the frozen source space.
+    feature matrices, the config and the frozen source space's vectors.
 
     W_a, W_g and W_e of params are re-seated as views of one flat buffer,
     self.flat, so that weight decay, the L2 term and the dense update are
@@ -151,8 +151,7 @@ class StepContext:
 
     def __init__(self, params: ModelParams, catalog: HotelCatalog,
                  cfg: TrainConfig, source_space=None, mapping=None):
-        self.params, self.cfg, self.ids = params, cfg, catalog.hotel_ids
-        self.source_space, self.mapping = source_space, mapping
+        self.params, self.cfg = params, cfg
         dense = (params.w_a, params.w_g, params.w_e)
         self.shapes = [w.shape for w in dense]
         self.cuts = np.cumsum([w.size for w in dense])[:-1]
@@ -165,20 +164,18 @@ class StepContext:
         w = cfg.sub_dim
         self.blocks = [slice(j * w, (j + 1) * w) for j in range(3)]
         self.col_block = np.repeat([0, 1, 2], w)
-        self.sources = {}  # catalog index -> source vector, once resolved
         self.scratch = {}  # k -> buffers of a step over k distinct hotels
-
-    def source_vector(self, i: int):
-        """Source-brand vector of the hotel at catalog index i; None if unmapped."""
-        if i not in self.sources:
-            target_id, space = self.ids[i], self.source_space
-            src_id = target_id if self.mapping is None else self.mapping.to_source(target_id)
-            if src_id is not None and (space is None or src_id not in space.index):
+        # catalog row -> its source-brand vector or None, when lam > 0;
+        # mapping=None maps each hotel to itself
+        self.sources = []
+        for target_id in catalog.hotel_ids if cfg.lam > 0 else ():
+            src_id = target_id if mapping is None else mapping.to_source(target_id)
+            row = None if source_space is None else source_space.index.get(src_id)
+            if src_id is not None and row is None:
                 raise ValueError(
                     f"hotel {target_id!r} is mapped but source space has no vector "
                     f"for {src_id!r}")
-            self.sources[i] = None if src_id is None else space.matrix[space.index[src_id]]
-        return self.sources[i]
+            self.sources.append(None if row is None else source_space.matrix[row])
 
     def buffers(self, k: int) -> tuple:
         """y, sq, proj and dv of a step over k distinct hotels, reused."""
@@ -247,7 +244,7 @@ def gradients(ctx: StepContext, hotels: tuple[int, ...]):
     else:
         np.add.at(dv, neg, g_neg[:, None] * v_t)
 
-    if cfg.lam > 0 and (v_src := ctx.source_vector(hotels[0])) is not None:
+    if cfg.lam > 0 and (v_src := ctx.sources[hotels[0]]) is not None:
         diff = v_t - v_src
         norm = math.sqrt(diff @ diff)
         if cfg.reg_variant == "norm":
@@ -340,7 +337,8 @@ def train(train_sessions: SessionSet, catalog: HotelCatalog, cfg: TrainConfig,
     curve_sink, when given, is called as curve_sink(step, space) every
     cfg.eval_every pair updates with a freshly exported embedding space.
     Each epoch's mean pair loss goes to the result's epoch_losses. Raises
-    ValueError when the sessions yield no pair to train on.
+    ValueError when the sessions yield no pair to train on, and before the
+    first pair when lam > 0 and a mapped hotel has no source vector.
     """
     cfg.validate()
     if cfg.lam > 0 and source_space is None:

@@ -56,10 +56,12 @@ class WorldConfig:
 
 @dataclass
 class World:
+    """latent (|H| x latent_dim) and each brand_popularity[brand] (|H|) hold
+    one row per catalog row."""
     config: WorldConfig
     catalog: HotelCatalog
-    latent: dict[str, np.ndarray]
-    brand_popularity: dict[tuple[str, str], float]
+    latent: np.ndarray
+    brand_popularity: dict[str, np.ndarray]
     mapping: BrandMapping
     market_ids: list[str] = field(default_factory=list)
 
@@ -75,8 +77,7 @@ def generate_world(cfg: WorldConfig) -> World:
     market_ids = [f"m{m:03d}" for m in range(cfg.n_markets)]
 
     # latent vectors: unit sphere, clustered around a per-market mean direction
-    latent: dict[str, np.ndarray] = {}
-    hotels = []
+    latent, hotels = [], []
     amenity_proj = substream(cfg.seed, "amenity-proj").normal(
         0.0, 0.5 / np.sqrt(cfg.latent_dim), size=(cfg.latent_dim, cfg.d_a_in))
     for m, market_id in enumerate(market_ids):
@@ -85,7 +86,7 @@ def generate_world(cfg: WorldConfig) -> World:
         for j in range(cfg.hotels_per_market):
             hid = f"h{m * cfg.hotels_per_market + j:05d}"
             vec = _unit(mean_dir + LATENT_SPREAD * rng.normal(size=cfg.latent_dim))
-            latent[hid] = vec
+            latent.append(vec)
             amenities = np.clip(0.5 + vec @ amenity_proj, 0.0, 1.0)
             geo = np.clip(center + rng.uniform(-0.05, 0.05, size=cfg.d_g_in), -1.0, 1.0)
             hotels.append(HotelRecord(hid, market_id, amenities, geo))
@@ -96,15 +97,13 @@ def generate_world(cfg: WorldConfig) -> World:
     # the brands agree exactly and at large values they decorrelate
     pop_rng = substream(cfg.seed, "popularity")
     base = pop_rng.normal(size=n_total)
-    brand_popularity = {}
-    for brand in cfg.brands:
-        draws = np.exp(base + cfg.brand_bias_strength * pop_rng.normal(size=n_total))
-        for hid, w in zip(catalog.hotel_ids, draws):
-            brand_popularity[(brand, hid)] = float(w)
+    brand_popularity = {
+        brand: np.exp(base + cfg.brand_bias_strength * pop_rng.normal(size=n_total))
+        for brand in cfg.brands}
 
     n_mapped = int(cfg.overlap_fraction * n_total)
     mapping = BrandMapping({hid: hid for hid in catalog.hotel_ids[:n_mapped]})
-    return World(cfg, catalog, latent, brand_popularity, mapping, market_ids)
+    return World(cfg, catalog, np.array(latent), brand_popularity, mapping, market_ids)
 
 
 def generate_sessions(world: World, brand: str, cfg: WorldConfig) -> SessionSet:
@@ -114,27 +113,26 @@ def generate_sessions(world: World, brand: str, cfg: WorldConfig) -> SessionSet:
     rng = substream(cfg.seed, "sessions", brand)
     catalog = world.catalog
 
-    # per-market tables: member ids, transition kernel, brand popularity
+    # per-market tables: member ids, the next-click CDF from each member
+    # (transition kernel times brand popularity) and the start CDF
     tables = {}
     for market_id, rows in zip(catalog.market_ids, catalog.members):
-        members = [catalog.hotel_ids[r] for r in rows.tolist()]
-        L = np.stack([world.latent[h] for h in members])
+        L, pop = world.latent[rows], world.brand_popularity[brand][rows]
         kernel = np.exp(KERNEL_SHARPNESS * (L @ L.T))
-        pop = np.array([world.brand_popularity[(brand, h)] for h in members])
-        start_cdf = np.cumsum(pop / pop.sum())
-        tables[market_id] = (members, kernel * pop[None, :], start_cdf)
+        tables[market_id] = ([catalog.hotel_ids[r] for r in rows.tolist()],
+                             np.cumsum(kernel * pop[None, :], axis=1),
+                             np.cumsum(pop / pop.sum()))
 
     lo, hi = cfg.session_length
     sessions = []
     for i in range(cfg.n_sessions_per_brand):
         market_id = world.market_ids[rng.integers(len(world.market_ids))]
-        members, weighted_kernel, start_cdf = tables[market_id]
+        members, cdfs, start_cdf = tables[market_id]
         length = int(rng.integers(lo, hi + 1))
         cur = int(np.searchsorted(start_cdf, rng.random(), side="right"))
         clicks = [members[cur]]
         for _ in range(length - 1):
-            w = weighted_kernel[cur]
-            cdf = np.cumsum(w)
+            cdf = cdfs[cur]
             cur = int(np.searchsorted(cdf, rng.random() * cdf[-1], side="right"))
             cur = min(cur, len(members) - 1)
             clicks.append(members[cur])

@@ -7,8 +7,9 @@ for bit, a finite-difference gradient checker, a brute-force ranking-metric
 calculator, the per-event ranking loop the blocked ranker must reproduce
 exactly, the string-keyed per-pair training loop the integer-indexed
 trainer must reproduce bit for bit, a json.loads-per-line session
-loader the one-pass one must agree with, and the string loop that the
-index-array prediction events must reproduce.
+loader the one-pass one must agree with, the string loop that the
+index-array prediction events must reproduce, and a click-at-a-time
+session generator that the synthetic world's tables must reproduce.
 """
 
 import json
@@ -24,6 +25,7 @@ from brandalign.model import (EmbeddingSpace, ModelParams, StepContext,
                               TrainConfig, TrainingDiverged, gradients,
                               init_params)
 from brandalign.rng import substream
+from brandalign.synth import KERNEL_SHARPNESS
 
 EPS_NORM = 1e-12
 
@@ -564,3 +566,37 @@ def reference_make_events(click_lists, hotel_market: dict):
                 raise ValueError(f"unknown hotel_id {a!r}")
             events.append((a, b, hotel_market[a]))
     return events
+
+
+# ---------------------------------------------------------------------------
+# synthetic sessions: one click at a time from the world's definitions
+
+def reference_generate_sessions(world, brand: str, cfg):
+    """(session_id, brand, market_id, clicks) tuples of the sessions that
+    synth.generate_sessions draws for brand. Each session draws, in this
+    order: its market (uniform), its length (uniform in cfg.session_length),
+    its first hotel (by the brand's popularity) and then each next hotel (by
+    exp(sharpness * latent similarity to the current one) times popularity).
+    A market's hotels are listed by ascending id, and every click builds its
+    own CDF."""
+    catalog = world.catalog
+    rng = substream(cfg.seed, "sessions", brand)
+    lo, hi = cfg.session_length
+    sessions = []
+    for i in range(cfg.n_sessions_per_brand):
+        market_id = world.market_ids[rng.integers(len(world.market_ids))]
+        members = sorted(h.hotel_id for h in catalog.hotels if h.market_id == market_id)
+        rows = [catalog.index[h] for h in members]
+        latent, pop = world.latent[rows], world.brand_popularity[brand][rows]
+        kernel = np.exp(KERNEL_SHARPNESS * (latent @ latent.T))
+        length = int(rng.integers(lo, hi + 1))
+        start = np.cumsum(pop / pop.sum())
+        cur = int(np.searchsorted(start, rng.random(), side="right"))
+        clicks = [members[cur]]
+        for _ in range(length - 1):
+            cdf = np.cumsum(kernel[cur] * pop)
+            cur = int(np.searchsorted(cdf, rng.random() * cdf[-1], side="right"))
+            cur = min(cur, len(members) - 1)
+            clicks.append(members[cur])
+        sessions.append((f"{brand}-s{i:07d}", brand, market_id, tuple(clicks)))
+    return sessions

@@ -202,6 +202,52 @@ def test_train_without_pairs_is_runtime_error(world_dir, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_train_rejects_a_hotel_id_with_whitespace(tmp_path, capsys):
+    # it used to train and write the line "a b 0.0 ...", which eval then
+    # read as hotel 'a' with one coordinate too many
+    ids = ["a b", "c", "d", "e"]
+    catalog, sessions, out = (tmp_path / n for n in ("catalog.jsonl",
+                                                     "sessions.jsonl", "x.emb"))
+    catalog.write_text("".join(json.dumps({"hotel_id": h, "market_id": "m",
+                                           "amenities": [0.5], "geo": [0.0]}) + "\n"
+                               for h in ids))
+    sessions.write_text("".join(json.dumps({"session_id": f"s{i}", "brand": "A",
+                                            "market_id": "m",
+                                            "clicks": ids[i % 4:] + ids[:i % 4]}) + "\n"
+                                for i in range(20)))
+    rc = main(["train", "--catalog", str(catalog), "--sessions", str(sessions),
+               "--brand", "A", "--out", str(out)] + TRAIN_SMALL)
+    assert rc == 1
+    assert capsys.readouterr().err == (f"error: {catalog}:1: hotel 'a b': id is "
+                                       f"empty or holds whitespace\n")
+    assert not out.exists()
+
+
+def test_train_lambda_source_without_a_mapped_hotel_fails_before_training(
+        world_dir, trained, tmp_path, capsys):
+    # the sessions never click h00000, so no pair targets it; the check once
+    # ran only when a pair did, and this run exited 0
+    a_emb, _ = trained
+    _, *rows = Path(a_emb).read_text().splitlines()
+    kept = [r for r in rows if r.split()[0] != "h00000"]
+    source = tmp_path / "A.emb"
+    source.write_text("\n".join([f"{len(kept)} 8", *kept]) + "\n")
+    lines = (world_dir / "sessions_B.jsonl").read_text().splitlines()
+    sessions = tmp_path / "sessions_B.jsonl"
+    sessions.write_text("".join(line + "\n" for line in lines
+                                if "h00000" not in json.loads(line)["clicks"]))
+    assert "h00000\th00000" in (world_dir / "mapping.tsv").read_text()
+    out = tmp_path / "B_da.emb"
+    rc = main(["train", "--catalog", str(world_dir / "catalog.jsonl"),
+               "--sessions", str(sessions), "--brand", "B", "--out", str(out),
+               "--lambda", "1", "--source-embeddings", str(source),
+               "--mapping", str(world_dir / "mapping.tsv")] + TRAIN_SMALL)
+    assert rc == 1
+    assert capsys.readouterr().err == ("error: hotel 'h00000' is mapped but source "
+                                       "space has no vector for 'h00000'\n")
+    assert not out.exists()
+
+
 def test_train_bad_ratios_is_usage_error(world_dir, tmp_path, capsys):
     # a:b:c, nan:1:1, -1:1:1 and 0:0:0 used to exit 1 with a message that
     # named no flag

@@ -106,6 +106,18 @@ def test_load_catalog_names_the_line_of_a_duplicate_or_out_of_range_hotel(tmp_pa
         load_catalog(path)
 
 
+@pytest.mark.parametrize("hid", ["a b", ""])
+def test_load_catalog_rejects_an_empty_id_or_one_with_whitespace(tmp_path, hid):
+    # embedding files split their lines on whitespace, so such an id was
+    # written by train and then rejected by eval's read_embeddings
+    path = tmp_path / "catalog.jsonl"
+    _write_lines(path, [_catalog_obj("h0"), _catalog_obj(hid)])
+    with pytest.raises(DataError) as info:
+        load_catalog(path)
+    assert str(info.value) == (f"{path}:2: hotel {hid!r}: id is empty or "
+                               f"holds whitespace")
+
+
 def test_catalog_features_are_amenities_then_geo(catalog6):
     for i, h in enumerate(catalog6.hotels):
         assert np.array_equal(catalog6.features[i], np.concatenate([h.amenities, h.geo]))

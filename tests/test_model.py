@@ -289,6 +289,25 @@ def _tiny_world(seed=11):
     return world, synth.generate_sessions(world, "A", cfg)
 
 
+def test_train_missing_source_vector_fails_before_the_first_pair(monkeypatch):
+    # h00000 is mapped but brand B never clicks it, so no pair targets it;
+    # the check once ran only when a pair did, and this run trained to the end
+    world, _ = _tiny_world()
+    cfg = world.config
+    sessions = synth.generate_sessions(world, "B", cfg)
+    assert "h00000" in world.mapping.pairs
+    assert all("h00000" not in s.clicks for s in sessions.sessions)
+    kept = [h for h in world.catalog.hotel_ids if h != "h00000"]
+    source = EmbeddingSpace("A", kept, np.ones((len(kept), tiny_config().d)))
+    steps = []
+    monkeypatch.setattr(model, "gradients",
+                        lambda *a: steps.append(1) or gradients(*a))
+    with pytest.raises(ValueError, match="hotel 'h00000' is mapped but source "
+                                         "space has no vector for 'h00000'"):
+        train(sessions, world.catalog, tiny_config(lam=1.0), source, world.mapping)
+    assert steps == []
+
+
 def test_train_is_deterministic():
     world, sessions = _tiny_world()
     cfg = tiny_config(epochs=2, seed=3)

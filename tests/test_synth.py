@@ -8,6 +8,7 @@ from brandalign.data import load_catalog, load_mapping, load_sessions
 from brandalign.synth import (World, WorldConfig, generate_sessions,
                               generate_world, write_catalog, write_mapping,
                               write_sessions, write_world_meta)
+from oracles import reference_generate_sessions
 
 
 def tiny_cfg(**kw):
@@ -27,30 +28,36 @@ def test_world_has_expected_shape():
     assert world.market_ids == ["m000", "m001"]
     assert world.catalog.market_of("h00000") == "m000"
     assert world.catalog.market_of("h00005") == "m001"
-    assert len(world.latent) == 6
-    assert len(world.brand_popularity) == 12  # 2 brands x 6 hotels
+    assert world.latent.shape == (6, 4)  # one row per catalog row
+    assert {b: p.shape for b, p in world.brand_popularity.items()} == \
+        {"A": (6,), "B": (6,)}
 
 
 def test_world_is_deterministic():
     a = generate_world(tiny_cfg())
     b = generate_world(tiny_cfg())
     for hid in a.catalog.hotel_ids:
-        assert np.array_equal(a.latent[hid], b.latent[hid])
-        assert np.array_equal(a.catalog.hotels[a.catalog.index[hid]].amenities,
-                              b.catalog.hotels[b.catalog.index[hid]].amenities)
-    assert a.brand_popularity == b.brand_popularity
+        ia, ib = a.catalog.index[hid], b.catalog.index[hid]
+        assert np.array_equal(a.latent[ia], b.latent[ib])
+        assert np.array_equal(a.catalog.hotels[ia].amenities,
+                              b.catalog.hotels[ib].amenities)
+        for brand in ("A", "B"):
+            assert np.array_equal(a.brand_popularity[brand][ia],
+                                  b.brand_popularity[brand][ib])
+    assert a.brand_popularity.keys() == b.brand_popularity.keys() == {"A", "B"}
 
 
 def test_world_changes_with_seed():
     a = generate_world(tiny_cfg(seed=1))
     b = generate_world(tiny_cfg(seed=2))
-    assert not np.array_equal(a.latent["h00000"], b.latent["h00000"])
+    assert not np.array_equal(a.latent[a.catalog.index["h00000"]],
+                              b.latent[b.catalog.index["h00000"]])
 
 
 def test_latent_vectors_are_unit_norm():
     world = generate_world(tiny_cfg())
-    for v in world.latent.values():
-        assert np.isclose(np.linalg.norm(v), 1.0)
+    for hid in world.catalog.hotel_ids:
+        assert np.isclose(np.linalg.norm(world.latent[world.catalog.index[hid]]), 1.0)
 
 
 def test_feature_ranges():
@@ -76,14 +83,15 @@ def test_partial_overlap_maps_prefix():
 
 def test_popularity_positive():
     world = generate_world(tiny_cfg())
-    assert all(w > 0 for w in world.brand_popularity.values())
+    assert all(world.brand_popularity[brand][world.catalog.index[hid]] > 0
+               for brand in ("A", "B") for hid in world.catalog.hotel_ids)
 
 
 def test_zero_bias_gives_identical_brand_popularity():
     world = generate_world(tiny_cfg(brand_bias_strength=0.0))
     for hid in world.catalog.hotel_ids:
-        assert world.brand_popularity[("A", hid)] == \
-            world.brand_popularity[("B", hid)]
+        i = world.catalog.index[hid]
+        assert world.brand_popularity["A"][i] == world.brand_popularity["B"][i]
 
 
 def test_config_validation():
@@ -142,13 +150,25 @@ def test_sessions_unknown_brand_raises():
         generate_sessions(world, "Z", cfg)
 
 
+@pytest.mark.parametrize("seed, bias", [(5, 1.0), (17, 0.0), (23, 2.5)])
+def test_sessions_match_the_click_at_a_time_reference(seed, bias):
+    # generate_sessions reads each market's next-click CDFs from one table;
+    # the reference builds every click's CDF from the definitions
+    cfg = tiny_cfg(n_markets=3, hotels_per_market=7, n_sessions_per_brand=300,
+                   session_length=(2, 6), brand_bias_strength=bias, seed=seed)
+    world = generate_world(cfg)
+    for brand in ("A", "B"):
+        assert generate_sessions(world, brand, cfg).sessions == \
+            reference_generate_sessions(world, brand, cfg)
+
+
 def test_zero_bias_start_distribution_matches_shared_popularity():
     # with brand_bias_strength=0 the empirical start-hotel distribution of
     # both brands follows the one shared popularity vector (chi-square test)
     cfg = tiny_cfg(n_markets=1, hotels_per_market=6, brand_bias_strength=0.0,
                    n_sessions_per_brand=10_000, session_length=(2, 2))
     world = generate_world(cfg)
-    pop = np.array([world.brand_popularity[("A", h)]
+    pop = np.array([world.brand_popularity["A"][world.catalog.index[h]]
                     for h in world.catalog.hotel_ids])
     expected = pop / pop.sum() * cfg.n_sessions_per_brand
     for brand in ("A", "B"):
@@ -175,7 +195,8 @@ def test_similar_hotels_co_occur_more():
         a, b = s.clicks
         if a != b:
             pair_counts[frozenset((a, b))] = pair_counts.get(frozenset((a, b)), 0) + 1
-    cos = {frozenset((x, y)): float(world.latent[x] @ world.latent[y])
+    latent = {h: world.latent[world.catalog.index[h]] for h in ids}
+    cos = {frozenset((x, y)): float(latent[x] @ latent[y])
            for i, x in enumerate(ids) for y in ids[i + 1:]}
     ordered = sorted(cos, key=cos.get)
     third = len(ordered) // 3
