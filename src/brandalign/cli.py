@@ -106,7 +106,7 @@ def cmd_train(args) -> int:
         if source_space.dim != cfg.d:
             raise DataError(f"{args.source_embeddings}:1: source embedding dim "
                             f"{source_space.dim} != --dim {cfg.d}")
-        mapping = load_mapping(args.mapping)
+        mapping = load_mapping(args.mapping, target_catalog=catalog)
 
     curve_rows = []
     curve_sink = None

@@ -8,6 +8,9 @@ File formats (all UTF-8):
   sessions: one JSON object per line with keys session_id, brand,
             market_id, clicks (list of hotel-id strings)
   mapping:  tab-separated `source_hotel_id<TAB>target_hotel_id`, no header
+
+The loaders hand out one string object per distinct hotel id, market id and
+brand (sys.intern): json makes every value a fresh string, one per click.
 """
 
 import contextlib
@@ -15,6 +18,7 @@ import json
 import re
 import warnings
 from dataclasses import dataclass, field
+from sys import intern
 from typing import NamedTuple
 
 import numpy as np
@@ -228,8 +232,8 @@ def load_catalog(path) -> HotelCatalog:
     for lineno, obj in _parse_lines(path):
         try:
             record = HotelRecord(
-                hotel_id=str(obj["hotel_id"]),
-                market_id=str(obj["market_id"]),
+                hotel_id=intern(str(obj["hotel_id"])),
+                market_id=intern(str(obj["market_id"])),
                 amenities=np.asarray(obj["amenities"], dtype=float),
                 geo=np.asarray(obj["geo"], dtype=float),
             )
@@ -251,8 +255,9 @@ def load_sessions(path, catalog: HotelCatalog, brand: str) -> SessionSet:
             if not isinstance(obj["clicks"], list):
                 raise TypeError(f"clicks must be a list of hotel ids, got "
                                 f"{type(obj['clicks']).__name__}")
-            session = ClickSession(str(obj["session_id"]), str(obj["brand"]),
-                                   str(obj["market_id"]), tuple(map(str, obj["clicks"])))
+            session = ClickSession(str(obj["session_id"]), intern(str(obj["brand"])),
+                                   intern(str(obj["market_id"])),
+                                   tuple(map(intern, map(str, obj["clicks"]))))
         except (KeyError, TypeError) as exc:
             raise DataError(f"{path}:{lineno}: bad session record: {exc}") from exc
         if not session.clicks:

@@ -248,6 +248,27 @@ def test_train_lambda_source_without_a_mapped_hotel_fails_before_training(
     assert not out.exists()
 
 
+def test_train_lambda_mapping_target_outside_the_catalog_names_the_line(
+        world_dir, trained, tmp_path, capsys):
+    # with no target in the catalog, the regularizer once did nothing and the
+    # run exited 0 with the plain run's embeddings
+    a_emb, _ = trained
+    lines = (world_dir / "mapping.tsv").read_text().splitlines()
+    assert lines[0] == "h00000\th00000"
+    mapping = tmp_path / "mapping.tsv"
+    mapping.write_text("".join(f"{src}\tX{tgt[1:]}\n"
+                               for src, tgt in (line.split("\t") for line in lines)))
+    out = tmp_path / "B_da.emb"
+    rc = main(["train", "--catalog", str(world_dir / "catalog.jsonl"),
+               "--sessions", str(world_dir / "sessions_B.jsonl"),
+               "--brand", "B", "--out", str(out), "--lambda", "1",
+               "--source-embeddings", a_emb, "--mapping", str(mapping)] + TRAIN_SMALL)
+    assert rc == 1
+    assert capsys.readouterr().err == (f"error: {mapping}:1: unknown target hotel "
+                                       f"'X00000'\n")
+    assert not out.exists()
+
+
 def test_train_bad_ratios_is_usage_error(world_dir, tmp_path, capsys):
     # a:b:c, nan:1:1, -1:1:1 and 0:0:0 used to exit 1 with a message that
     # named no flag

@@ -203,6 +203,23 @@ def test_load_sessions_three_valid(tmp_path, catalog6):
     assert len(load_sessions(path, catalog6, "A")) == 3
 
 
+def test_loaders_share_one_string_per_id_market_and_brand(tmp_path):
+    # json makes every value a fresh string, one copy of an id per click
+    catalog_path, sessions_path = tmp_path / "catalog.jsonl", tmp_path / "sessions.jsonl"
+    _write_lines(catalog_path, [_catalog_obj(h, market="market-0")
+                                for h in ("hotel-0", "hotel-1", 2)])
+    _write_lines(sessions_path, [_session_obj(f"s{i}", ["hotel-0", "hotel-1", 2, "hotel-0"],
+                                              brand="brand-A", market="market-0")
+                                 for i in range(3)])
+    catalog = load_catalog(catalog_path)
+    sessions = load_sessions(sessions_path, catalog, "brand-A").sessions
+    clicks = [c for s in sessions for c in s.clicks]
+    assert len({id(c) for c in clicks}) == 3
+    assert all(c is catalog.hotel_ids[catalog.index[c]] for c in clicks)
+    assert all(s.market_id is catalog.hotels[0].market_id for s in sessions)
+    assert all(s.brand is sessions[0].brand for s in sessions)
+
+
 def test_load_sessions_unknown_hotel_names_it(tmp_path, catalog6):
     path = tmp_path / "sessions.jsonl"
     _write_lines(path, [_session_obj("s0", ["h0", "Z9"])])
