@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import BrandMapping, DataError, check_finite, open_text, parse_numbers
-from .model import EmbeddingSpace, _row_products
+from .model import EmbeddingSpace
 
 
 @dataclass
@@ -43,11 +43,8 @@ def fit_linear_projection(s: np.ndarray, t: np.ndarray) -> ProjectionMatrix:
     minimum-Frobenius-norm solution when S is rank deficient."""
     if s.shape[0] < 1 or s.shape[0] != t.shape[0]:
         raise ValueError("S and T must have the same positive row count")
-    # LAPACK gelsd with scipy.linalg.lstsq's default cutoff. W is kept in
-    # Fortran order, as scipy returned it: the order picks the BLAS kernel of
-    # every v @ W in apply_projection, and with it the last bits.
+    # LAPACK gelsd with scipy.linalg.lstsq's default cutoff
     w, _, _, _ = np.linalg.lstsq(s, t, rcond=np.finfo(float).eps)
-    w = np.asfortranarray(w)
     residual = float(np.linalg.norm(s @ w - t, "fro"))
     return ProjectionMatrix(w=w, kind="least_squares", fit_residual=residual)
 
@@ -64,15 +61,14 @@ def fit_procrustes(s: np.ndarray, t: np.ndarray) -> ProjectionMatrix:
 
 
 def apply_projection(space: EmbeddingSpace, proj: ProjectionMatrix) -> EmbeddingSpace:
-    """Map every row through W, with the bits of each row's v @ W; the result
-    is tagged as projected. A projected row whose squared norm overflows is
-    rejected, naming the hotel."""
+    """Map every row through W as one space.matrix @ W; the result is tagged
+    as projected. A projected row whose squared norm overflows is rejected,
+    naming the hotel."""
     if space.dim != proj.w.shape[0]:
         raise ValueError(f"space dim {space.dim} != projection rows {proj.w.shape[0]}")
     with np.errstate(over="ignore", invalid="ignore"):
-        matrix = _row_products(space.matrix, proj.w)
-        # squared norms with the bits of each row's 1-D v @ v
-        bad = ~np.isfinite(np.matmul(matrix[:, None], matrix[:, :, None])[:, 0, 0])
+        matrix = space.matrix @ proj.w
+        bad = ~np.isfinite(np.einsum("ij,ij->i", matrix, matrix))
     if bad.any():
         raise ValueError(f"squared norm of projected {space.ids[np.argmax(bad)]!r} "
                          f"overflows")

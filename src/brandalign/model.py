@@ -3,10 +3,12 @@ cross-brand regularizer, manual gradients, and the training loop.
 
 Every hotel is embedded as relu([V_c, V_a, V_g] @ W_e) where each V_* is a
 normalize-then-relu projection of an input feature vector (the click one-hot,
-amenities, geo). Training is per-pair SGNS with negatives drawn from the
-target hotel's market. When a frozen source-brand space is supplied, a
-penalty lam * ||V_target - V_source|| (or its square) ties each training
-pair's target hotel, when it is mapped, to its source counterpart.
+amenities, geo). One forward pass, _forward, computes it both for a training
+step's hotels and for export's whole catalog. Training is per-pair SGNS with
+negatives drawn from the target hotel's market. When a frozen source-brand
+space is supplied, a penalty lam * ||V_target - V_source|| (or its square)
+ties each training pair's target hotel, when it is mapped, to its source
+counterpart.
 """
 
 import math
@@ -86,33 +88,31 @@ class EmbeddingSpace:
         self.vectors = MappingProxyType(dict(zip(self.ids, matrix)))
 
 
-def _row_products(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Row i is x[i] @ w, with the bits of that 1-D product: one (1, n) @ (n, m)
-    matmul per row. A plain 2-D x @ w takes another BLAS kernel; on the 300-
-    and 1,000-hotel reference worlds it changed the last bits of 67-93% of
-    the exported rows."""
-    return np.matmul(x[:, None, :], w)[:, 0]
+def _block_dots(a: np.ndarray, b: np.ndarray, out: np.ndarray):
+    """out[i, j] = a[i, block j] . b[i, block j] over the three sub-embedding
+    blocks of each row, one einsum over (k, 3, sub_dim) views."""
+    shape = (len(a), 3, -1)
+    np.einsum("ijk,ijk->ij", a.reshape(shape), b.reshape(shape), out=out)
 
 
-def _norm_relu_rows(y: np.ndarray) -> np.ndarray:
-    """relu(y / ||y||) row by row; a zero row where ||y|| is (near) zero.
-    ||y|| is the root of a (1, d) @ (d, 1) matmul, the dot product that
-    np.linalg.norm takes of one vector."""
-    norms = np.sqrt(np.matmul(y[:, None, :], y[:, :, None])[:, :, 0])
-    return np.maximum(np.divide(y, norms, out=np.zeros_like(y),
-                                where=~(norms < EPS_NORM)), 0.0)
-
-
-def _forward_rows(params: ModelParams, catalog: HotelCatalog) -> np.ndarray:
-    """Enriched embeddings relu([V_c, V_a, V_g] @ W_e) of the catalog's
-    hotels, one row per hotel."""
-    x = catalog.features
-    a_dim = catalog.amenity_dim
-    u = np.concatenate([_norm_relu_rows(params.w_c),
-                        _norm_relu_rows(_row_products(x[:, :a_dim], params.w_a)),
-                        _norm_relu_rows(_row_products(x[:, a_dim:], params.w_g))],
-                       axis=1)
-    return np.maximum(_row_products(u, params.w_e), 0.0)
+def _forward(p: ModelParams, w_c: np.ndarray, a_in: np.ndarray, g_in: np.ndarray,
+             y: np.ndarray, sq: np.ndarray) -> tuple:
+    """relu([V_c, V_a, V_g] @ W_e) of k hotels from their W_c, amenity and geo
+    rows: V_* = relu(y_* / ||y_*||), or zero where ||y_*|| is (near) zero.
+    Fills y with [y_c, y_a, y_g] and sq with their squared norms, and returns
+    (inv, yhat, u, z): 1 / ||y_*|| repeated over each block, y * inv,
+    relu(yhat) and z = u @ W_e, whose relu is the embedding."""
+    w = w_c.shape[1]
+    y[:, :w] = w_c
+    np.matmul(a_in, p.w_a, out=y[:, w:2 * w])
+    np.matmul(g_in, p.w_g, out=y[:, 2 * w:])
+    _block_dots(y, y, sq)
+    norms = np.sqrt(sq)
+    inv = np.divide(1.0, norms, out=np.zeros(norms.shape),
+                    where=norms >= EPS_NORM).repeat(w, axis=1)
+    yhat = y * inv
+    u = np.maximum(yhat, 0.0)
+    return inv, yhat, u, u @ p.w_e
 
 
 def _softplus(x: float) -> float:
@@ -163,7 +163,6 @@ class StepContext:
         self.a_dim = catalog.amenity_dim
         w = cfg.sub_dim
         self.blocks = [slice(j * w, (j + 1) * w) for j in range(3)]
-        self.col_block = np.repeat([0, 1, 2], w)
         self.scratch = {}  # k -> buffers of a step over k distinct hotels
         # catalog row -> its source-brand vector or None, when lam > 0;
         # mapping=None maps each hotel to itself
@@ -180,15 +179,9 @@ class StepContext:
     def buffers(self, k: int) -> tuple:
         """y, sq, proj and dv of a step over k distinct hotels, reused."""
         if k not in self.scratch:
-            self.scratch[k] = (np.empty((k, len(self.col_block))), np.empty((k, 3)),
+            self.scratch[k] = (np.empty((k, 3 * self.cfg.sub_dim)), np.empty((k, 3)),
                                np.empty((k, 3)), np.empty((k, self.cfg.d)))
         return self.scratch[k]
-
-    def block_dots(self, a: np.ndarray, b: np.ndarray, out: np.ndarray):
-        """out[i, j] = a[i, block j] . b[i, block j], one einsum over
-        (k, 3, sub_dim) views."""
-        shape = (len(a), 3, self.cfg.sub_dim)
-        np.einsum("ijk,ijk->ij", a.reshape(shape), b.reshape(shape), out=out)
 
     def views(self, flat: np.ndarray) -> list[np.ndarray]:
         """W_a, W_g and W_e shaped views of a flat buffer."""
@@ -214,16 +207,7 @@ def gradients(ctx: StepContext, hotels: tuple[int, ...]):
     y, sq, proj, dv = ctx.buffers(len(rows))
     x = ctx.features.take(idx, axis=0)
     a_in, g_in = x[:, :ctx.a_dim], x[:, ctx.a_dim:]
-    y[:, bc] = p.w_c.take(idx, axis=0)
-    np.matmul(a_in, p.w_a, out=y[:, ba])
-    np.matmul(g_in, p.w_g, out=y[:, bg])
-    ctx.block_dots(y, y, sq)
-    norms = np.sqrt(sq)
-    inv = np.divide(1.0, norms, out=np.zeros(norms.shape),
-                    where=norms >= EPS_NORM).take(ctx.col_block, axis=1)
-    yhat = y * inv
-    u = np.maximum(yhat, 0.0)
-    z = u @ p.w_e
+    inv, yhat, u, z = _forward(p, p.w_c.take(idx, axis=0), a_in, g_in, y, sq)
     v = np.maximum(z, 0.0)
 
     v_t = v[t]
@@ -259,8 +243,8 @@ def gradients(ctx: StepContext, hotels: tuple[int, ...]):
     grad, (dw_a, dw_g, dw_e) = ctx.grad, ctx.grad_views
     np.matmul(u.T, dz, out=dw_e)
     masked = np.where(yhat > 0, dz @ p.w_e.T, 0.0)
-    ctx.block_dots(yhat, masked, proj)
-    dy = (masked - yhat * proj.take(ctx.col_block, axis=1)) * inv
+    _block_dots(yhat, masked, proj)
+    dy = (masked - yhat * proj.repeat(cfg.sub_dim, axis=1)) * inv
     np.matmul(a_in.T, dy[:, ba], out=dw_a)
     np.matmul(g_in.T, dy[:, bg], out=dw_g)
     dy_c = dy[:, bc]
@@ -387,8 +371,13 @@ def train(train_sessions: SessionSet, catalog: HotelCatalog, cfg: TrainConfig,
 
 def export_embeddings(params: ModelParams, catalog: HotelCatalog,
                       brand: str = "unknown") -> EmbeddingSpace:
-    """Materialize the enriched embedding of every catalog hotel."""
-    return EmbeddingSpace(brand, catalog.hotel_ids, _forward_rows(params, catalog))
+    """Materialize the enriched embedding of every catalog hotel: the training
+    step's forward pass over all catalog rows at once."""
+    n, width = params.w_c.shape
+    x, a_dim = catalog.features, catalog.amenity_dim
+    z = _forward(params, params.w_c, x[:, :a_dim], x[:, a_dim:],
+                 np.empty((n, 3 * width)), np.empty((n, 3)))[3]
+    return EmbeddingSpace(brand, catalog.hotel_ids, np.maximum(z, 0.0, out=z))
 
 
 # ---------------------------------------------------------------------------

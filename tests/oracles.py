@@ -2,10 +2,9 @@
 
 Everything here is written straight-line from the definitions, on purpose
 duplicating none of the library's code paths: a second forward pass for the
-enriched embedding, the per-hotel export the batched one must reproduce bit
-for bit, a finite-difference gradient checker, a brute-force ranking-metric
-calculator, the per-event ranking loop the blocked ranker must reproduce
-exactly, the string-keyed per-pair training loop the integer-indexed
+enriched embedding, a finite-difference gradient checker, a brute-force
+ranking-metric calculator, the per-event ranking loop the blocked ranker must
+reproduce exactly, the string-keyed per-pair training loop the integer-indexed
 trainer must reproduce bit for bit, a json.loads-per-line session
 loader the one-pass one must agree with, the string loop that the
 index-array prediction events must reproduce, and a click-at-a-time
@@ -59,25 +58,6 @@ def straight_line_embedding(hotel_id: str, params: ModelParams,
     v_g = norm_relu(np.asarray(record.geo) @ params.w_g)
     z = np.concatenate([v_c, v_a, v_g]) @ params.w_e
     return np.array([max(c, 0.0) for c in z])
-
-
-def per_hotel_export(params: ModelParams, catalog: HotelCatalog) -> dict:
-    """{hotel id: enriched embedding}, one hotel at a time with 1-D norms,
-    divisions and products, as the package exported before its batched
-    forward."""
-    def norm_relu(y):
-        norm = np.linalg.norm(y)
-        if norm < EPS_NORM:
-            return np.zeros_like(y)
-        return np.maximum(y / norm, 0.0)
-
-    vectors = {}
-    for i, record in enumerate(catalog.hotels):
-        u = np.concatenate([norm_relu(params.w_c[i]),
-                            norm_relu(record.amenities @ params.w_a),
-                            norm_relu(record.geo @ params.w_g)])
-        vectors[record.hotel_id] = np.maximum(u @ params.w_e, 0.0)
-    return vectors
 
 
 def pair_loss(pair: TrainingPair, params: ModelParams, catalog: HotelCatalog,

@@ -77,8 +77,8 @@ def test_lstsq_recovers_planted_matrix_50_instances():
 
 
 def test_lstsq_matches_scipy_gelsd_bit_for_bit():
-    # the fit used scipy.linalg.lstsq(..., lapack_driver="gelsd"); the same
-    # solution, in the same memory order, must project to the same bits
+    # the fit used scipy.linalg.lstsq(..., lapack_driver="gelsd") and must
+    # return the same solution
     rng = np.random.default_rng(5)
     for case in range(20):
         s = np.maximum(rng.normal(size=(240, 32)), 0.0)
@@ -90,8 +90,6 @@ def test_lstsq_matches_scipy_gelsd_bit_for_bit():
         want, _, _, _ = scipy.linalg.lstsq(s, t, lapack_driver="gelsd")
         got = fit_linear_projection(s, t).w
         assert np.array_equal(got, want)
-        for v in s[:20]:
-            assert np.array_equal(v @ got, v @ want)
 
 
 def test_procrustes_recovers_planted_orthogonal_50_instances():
@@ -200,17 +198,17 @@ def test_apply_projection_can_change_dimension():
     assert np.array_equal(out.vectors["s0"], np.full(5, 3.0))
 
 
-@pytest.mark.parametrize("fit, order", [(fit_linear_projection, "F_CONTIGUOUS"),
-                                        (fit_procrustes, "C_CONTIGUOUS")])
-def test_apply_projection_has_the_bits_of_each_rows_v_at_w(fit, order):
-    # repro's lp_projected rows are per-row v @ W; a 2-D matrix @ W takes
-    # another BLAS kernel and changes their last bits
-    s, t, _ = random_spaces(17, n=1000, d=32, noise=0.1)
+@pytest.mark.parametrize("fit", [fit_linear_projection, fit_procrustes])
+def test_apply_projection_of_a_fit_equals_that_of_its_file(fit, tmp_path):
+    # repro projects with the W it fitted, the CLI with the W it reads back
+    # from lp.proj; both must give the same rows, bit for bit
+    s, t, _ = random_spaces(17, n=300, d=32, noise=0.1)
     proj = fit(s, t)
-    assert proj.w.flags[order]
-    out = apply_projection(space_from(s, "S", "s"), proj)
-    want = np.stack([v @ proj.w for v in s])
-    assert out.matrix.tobytes() == want.tobytes()
+    write_projection(proj, tmp_path / "w.proj")
+    space = space_from(s, "S", "s")
+    fitted = apply_projection(space, proj)
+    read = apply_projection(space, read_projection(tmp_path / "w.proj"))
+    assert fitted.matrix.tobytes() == read.matrix.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -7,13 +7,13 @@ import pytest
 from brandalign import model, repro, synth
 from brandalign.data import BrandMapping, DataError
 from brandalign.model import (EmbeddingSpace, ModelParams, StepContext,
-                              TrainConfig, TrainingDiverged, _norm_relu_rows,
+                              TrainConfig, TrainingDiverged, _forward,
                               export_embeddings, gradients, init_params,
                               read_embeddings, train, write_embeddings)
 from brandalign.rng import substream
 from conftest import make_catalog, make_sessions
-from oracles import (TrainingPair, finite_difference_max_rel_err, per_hotel_export,
-                     reference_train, straight_line_embedding)
+from oracles import (TrainingPair, finite_difference_max_rel_err, reference_train,
+                     straight_line_embedding)
 
 FD_TOL = 1e-4
 
@@ -48,21 +48,32 @@ def random_instance(seed: int, cfg: TrainConfig, n_hotels: int = 4):
 # ---------------------------------------------------------------------------
 # feature sub-embeddings: normalize, then relu
 
+def _norm_relu(y):
+    """relu(y / ||y||) of each row of y, as the V_c block that model._forward
+    makes of W_c rows y."""
+    k, w = y.shape
+    params = ModelParams(w_c=y, w_a=np.zeros((1, w)), w_g=np.zeros((1, w)),
+                         w_e=np.zeros((3 * w, 1)))
+    u = _forward(params, y, np.ones((k, 1)), np.ones((k, 1)),
+                 np.empty((k, 3 * w)), np.empty((k, 3)))[2]
+    return u[:, :w]
+
+
 def test_feature_embed_three_four_five():
-    assert np.allclose(_norm_relu_rows(np.array([[3.0, 4.0]])), [[0.6, 0.8]])
+    assert np.allclose(_norm_relu(np.array([[3.0, 4.0]])), [[0.6, 0.8]])
 
 
 def test_feature_embed_clips_negative_coordinate():
-    assert np.allclose(_norm_relu_rows(np.array([[3.0, -4.0]])), [[0.6, 0.0]])
+    assert np.allclose(_norm_relu(np.array([[3.0, -4.0]])), [[0.6, 0.0]])
 
 
 def test_feature_embed_zero_input_is_zero():
-    assert np.array_equal(_norm_relu_rows(np.array([[0.0, 0.0], [3.0, 4.0]]))[0],
+    assert np.array_equal(_norm_relu(np.array([[0.0, 0.0], [3.0, 4.0]]))[0],
                           [0.0, 0.0])
 
 
 def test_feature_embed_nonnegative_unit_bounded():
-    y = _norm_relu_rows(np.random.default_rng(0).normal(size=(50, 4)))
+    y = _norm_relu(np.random.default_rng(0).normal(size=(50, 4)))
     assert np.all(y >= 0)
     assert np.all(np.linalg.norm(y, axis=1) <= 1 + 1e-12)
 
@@ -88,24 +99,27 @@ def test_enriched_embedding_matches_straight_line_oracle():
 
 
 def test_enriched_embedding_is_functional():
-    # two hotels with identical W_c rows and identical features embed equally
+    # hotels with identical W_c rows and identical features embed to the same
+    # bits, wherever they sit in a catalog that export multiplies as one block
     from brandalign.data import HotelCatalog, HotelRecord
-    amenities = np.array([0.3, 0.9])
-    geo = np.array([0.1, -0.4])
-    catalog = HotelCatalog([HotelRecord("h0", "m0", amenities, geo),
-                            HotelRecord("h1", "m0", amenities, geo)])
-    cfg = tiny_config()
     rng = np.random.default_rng(1)
+    cfg = tiny_config(sub_dim=16, d=32)
+    twins = [0, 7, 500, 1002]
+    amenities, geo = rng.uniform(0, 1, (1003, 8)), rng.uniform(-1, 1, (1003, 2))
+    amenities[twins], geo[twins] = amenities[0], geo[0]
+    catalog = HotelCatalog([HotelRecord(f"h{i:04d}", f"m{i % 5}", amenities[i], geo[i])
+                            for i in range(1003)])
     w = cfg.sub_dim
     params = ModelParams(
-        w_c=rng.normal(0, 0.5, (2, w)),
+        w_c=rng.normal(0, 0.5, (1003, w)),
         w_a=rng.normal(0, 0.5, (catalog.amenity_dim, w)),
         w_g=rng.normal(0, 0.5, (catalog.geo_dim, w)),
         w_e=rng.normal(0, 0.5, (3 * w, cfg.d)))
-    params.w_c[1] = params.w_c[0]
-    space = export_embeddings(params, catalog)
-    assert np.any(space.vectors["h0"] > 0)
-    assert np.array_equal(space.vectors["h0"], space.vectors["h1"])
+    params.w_c[twins] = params.w_c[0]
+    matrix = export_embeddings(params, catalog).matrix
+    assert np.any(matrix[0] > 0)
+    for row in twins[1:]:
+        assert matrix[row].tobytes() == matrix[0].tobytes(), row
 
 
 # ---------------------------------------------------------------------------
@@ -198,6 +212,33 @@ def test_da_loss_never_below_base():
         for variant in ("norm", "squared_norm"):
             reg = replace(cfg, lam=rng.uniform(0.01, 2), reg_variant=variant)
             assert _loss(params, catalog, reg, hotels, source) >= base
+
+
+@pytest.mark.parametrize("n_neg", [1, 5])
+@pytest.mark.parametrize("lam, variant", [(0.0, "norm"), (0.7, "norm"),
+                                          (0.7, "squared_norm")])
+def test_step_loss_is_the_loss_of_the_exported_rows(n_neg, lam, variant):
+    # gradients and export_embeddings share one forward pass: the pair loss
+    # recomputed from the exported rows, plus the L2 term of the parameters,
+    # is the loss that the step returns
+    cfg = tiny_config(sub_dim=3, d=4, n_neg=n_neg, l2_weight=0.01, lam=lam,
+                      reg_variant=variant)
+    for seed in range(20):
+        catalog, params, _, source = random_instance(seed, cfg, n_hotels=8)
+        rng = np.random.default_rng(seed)
+        t, c, *others = rng.permutation(8).tolist()
+        negatives = rng.choice(others[:3], size=n_neg).tolist()  # n_neg=5 repeats
+        hotels = (t, c, *negatives)
+        v = export_embeddings(params, catalog).matrix
+        want = np.logaddexp(0.0, -v[t] @ v[c])
+        want += sum(np.logaddexp(0.0, v[t] @ v[n]) for n in negatives)
+        dist = np.linalg.norm(v[t] - source.matrix[t])
+        want += lam * (dist if variant == "norm" else dist * dist)
+        want += 0.5 * cfg.l2_weight * (
+            sum(params.w_c[h] @ params.w_c[h] for h in set(hotels))
+            + sum(np.sum(w * w) for w in (params.w_a, params.w_g, params.w_e)))
+        got = _loss(params, catalog, cfg, hotels, source)
+        assert abs(got - want) <= 1e-12, seed
 
 
 # ---------------------------------------------------------------------------
@@ -501,23 +542,6 @@ def test_export_covers_catalog_and_matches_forward():
     again = export_embeddings(params, world.catalog, brand="A")
     for hid in space.vectors:
         assert np.array_equal(space.vectors[hid], again.vectors[hid])
-
-
-def test_export_matches_per_hotel_oracle_bit_for_bit():
-    # the quick reference world (300 hotels) and the reference dimensions,
-    # trained briefly on a few of its sessions
-    wcfg = replace(repro.reference_world_config(seed=3, quick=True),
-                   n_sessions_per_brand=300)
-    world = synth.generate_world(wcfg)
-    sessions = synth.generate_sessions(world, "A", wcfg)
-    assert len(world.catalog) >= 300
-    params = train(sessions, world.catalog,
-                   replace(repro.reference_train_config(3, quick=True), epochs=1))
-    space = export_embeddings(params, world.catalog)
-    want = per_hotel_export(params, world.catalog)
-    assert list(space.vectors) == list(want)
-    for hid, vec in want.items():
-        assert np.array_equal(space.vectors[hid], vec), hid
 
 
 def test_exported_embeddings_are_nonnegative_so_cosines_are_too():
