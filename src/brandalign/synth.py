@@ -8,6 +8,7 @@ has to bridge.
 
 import json
 from dataclasses import dataclass, field, asdict
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -107,39 +108,89 @@ def generate_world(cfg: WorldConfig) -> World:
 
 
 def generate_sessions(world: World, brand: str, cfg: WorldConfig) -> SessionSet:
-    """Popularity-and-similarity driven random walks within single markets."""
+    """Popularity-and-similarity driven random walks within single markets.
+
+    Session i draws from the brand's "sessions" substream, in this order:
+    its market (uniform over world.market_ids), its length (uniform in
+    cfg.session_length) and then one uniform per click. Its first click
+    follows the brand's popularity in that market, and each next click
+    exp(KERNEL_SHARPNESS * latent similarity to the current one) times
+    popularity; a market's hotels are its catalog members, by ascending id,
+    and a uniform at or past a CDF's last entry picks the last of them. The
+    draws are made session by session; the walks then run market by market,
+    one click of all that market's sessions at a time.
+    """
     if brand not in cfg.brands:
         raise ValueError(f"unknown brand {brand!r}")
     rng = substream(cfg.seed, "sessions", brand)
     catalog = world.catalog
-
-    # per-market tables: member ids, the next-click CDF from each member
-    # (transition kernel times brand popularity) and the start CDF
-    tables = {}
-    for market_id, rows in zip(catalog.market_ids, catalog.members):
-        L, pop = world.latent[rows], world.brand_popularity[brand][rows]
-        kernel = np.exp(KERNEL_SHARPNESS * (L @ L.T))
-        tables[market_id] = ([catalog.hotel_ids[r] for r in rows.tolist()],
-                             np.cumsum(kernel * pop[None, :], axis=1),
-                             np.cumsum(pop / pop.sum()))
-
+    n = cfg.n_sessions_per_brand
     lo, hi = cfg.session_length
-    sessions = []
-    for i in range(cfg.n_sessions_per_brand):
-        market_id = world.market_ids[rng.integers(len(world.market_ids))]
-        members, cdfs, start_cdf = tables[market_id]
-        length = int(rng.integers(lo, hi + 1))
-        cur = int(np.searchsorted(start_cdf, rng.random(), side="right"))
-        clicks = [members[cur]]
-        for _ in range(length - 1):
-            cdf = cdfs[cur]
-            cur = int(np.searchsorted(cdf, rng.random() * cdf[-1], side="right"))
-            cur = min(cur, len(members) - 1)
-            clicks.append(members[cur])
-        sessions.append(ClickSession(
-            session_id=f"{brand}-s{i:07d}", brand=brand,
-            market_id=market_id, clicks=tuple(clicks)))
+
+    # the draws: session i's uniforms are u[first[i]:first[i] + length[i]]
+    market = np.empty(n, dtype=np.intp)
+    length = np.empty(n, dtype=np.intp)
+    u, end = np.empty(2 * n), 0
+    for i in range(n):
+        market[i] = rng.integers(len(world.market_ids))
+        k = int(rng.integers(lo, hi + 1))
+        length[i] = k
+        if end + k > len(u):
+            u = np.concatenate([u[:end], np.empty(max(len(u), k))])
+        rng.random(out=u[end:end + k])
+        end += k
+    first = np.cumsum(length) - length
+
+    # the walks: rows[first[i] + t] is the catalog row of session i's click t
+    rows = np.empty(end, dtype=np.intp)
+    code = {market_id: c for c, market_id in enumerate(catalog.market_ids)}
+    for j, market_id in enumerate(world.market_ids):
+        walking = np.flatnonzero(market == j)
+        _walk(world, brand, catalog.members[code[market_id]], u,
+              first[walking], length[walking], rows)
+    del u, first
+
+    clicks = iter(np.array(catalog.hotel_ids, dtype=object)[rows].tolist())
+    del rows
+    market, length = market.tolist(), length.tolist()
+    sessions = [
+        ClickSession(session_id=f"{brand}-s{i:07d}", brand=brand,
+                     market_id=world.market_ids[j], clicks=tuple(islice(clicks, k)))
+        for i, (j, k) in enumerate(zip(market, length))]
     return SessionSet(brand=brand, sessions=sessions)
+
+
+def _walk(world: World, brand: str, members: np.ndarray, u: np.ndarray,
+          at: np.ndarray, left: np.ndarray, rows: np.ndarray):
+    """Walk the sessions of the market whose catalog rows are members: each
+    session's first click reads u[at] and writes rows[at], and it has left
+    clicks. Every step advances all the sessions still walking."""
+    L, pop = world.latent[members], world.brand_popularity[brand][members]
+    kernel = np.exp(KERNEL_SHARPNESS * (L @ L.T))
+    cdfs = np.cumsum(kernel * pop[None, :], axis=1)
+    start_cdf = np.cumsum(pop / pop.sum())
+    last = len(members) - 1
+    cur = np.minimum(np.searchsorted(start_cdf, u[at], side="right"), last)
+    while True:
+        rows[at] = members[cur]
+        keep = left > 1
+        at, cur, left = at[keep] + 1, cur[keep], left[keep] - 1
+        if not len(at):
+            return
+        cur = np.minimum(_next_clicks(cdfs, cur, u[at] * cdfs[cur, -1]), last)
+
+
+def _next_clicks(cdfs: np.ndarray, cur: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """searchsorted(cdfs[cur[s]], target[s], side="right") for each s: one
+    call per distinct current row."""
+    order = np.argsort(cur)
+    by_row = cur[order]
+    cuts = np.flatnonzero(by_row[1:] != by_row[:-1]) + 1
+    nxt = np.empty_like(cur)
+    for a, b in zip([0, *cuts.tolist()], [*cuts.tolist(), len(cur)]):
+        group = order[a:b]
+        nxt[group] = np.searchsorted(cdfs[by_row[a]], target[group], side="right")
+    return nxt
 
 
 # ---------------------------------------------------------------------------

@@ -557,8 +557,9 @@ def reference_generate_sessions(world, brand: str, cfg):
     order: its market (uniform), its length (uniform in cfg.session_length),
     its first hotel (by the brand's popularity) and then each next hotel (by
     exp(sharpness * latent similarity to the current one) times popularity).
-    A market's hotels are listed by ascending id, and every click builds its
-    own CDF."""
+    A market's hotels are listed by ascending id, every click builds its
+    own CDF, and a uniform at or past a CDF's last entry picks the last
+    hotel."""
     catalog = world.catalog
     rng = substream(cfg.seed, "sessions", brand)
     lo, hi = cfg.session_length
@@ -572,6 +573,7 @@ def reference_generate_sessions(world, brand: str, cfg):
         length = int(rng.integers(lo, hi + 1))
         start = np.cumsum(pop / pop.sum())
         cur = int(np.searchsorted(start, rng.random(), side="right"))
+        cur = min(cur, len(members) - 1)
         clicks = [members[cur]]
         for _ in range(length - 1):
             cdf = np.cumsum(kernel[cur] * pop)

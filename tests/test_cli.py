@@ -100,6 +100,14 @@ def test_gen_rejects_equal_brand_names(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_gen_max_len_past_int64_is_one_error_line(tmp_path, capsys):
+    # the length draw raises first: no buffer is sized n x max_len before it
+    rc = main(["gen", "--out-dir", str(tmp_path), "--sessions", "1",
+               "--max-len", "1" + "0" * 30])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: high is out of bounds for int64\n"
+
+
 # ---------------------------------------------------------------------------
 # train
 

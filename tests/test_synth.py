@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 import scipy.stats
 
+import oracles
+from brandalign import synth
 from brandalign.data import load_catalog, load_mapping, load_sessions
+from brandalign.rng import substream
 from brandalign.synth import (World, WorldConfig, generate_sessions,
                               generate_world, write_catalog, write_mapping,
                               write_sessions, write_world_meta)
@@ -150,16 +153,66 @@ def test_sessions_unknown_brand_raises():
         generate_sessions(world, "Z", cfg)
 
 
-@pytest.mark.parametrize("seed, bias", [(5, 1.0), (17, 0.0), (23, 2.5)])
-def test_sessions_match_the_click_at_a_time_reference(seed, bias):
-    # generate_sessions reads each market's next-click CDFs from one table;
-    # the reference builds every click's CDF from the definitions
-    cfg = tiny_cfg(n_markets=3, hotels_per_market=7, n_sessions_per_brand=300,
-                   session_length=(2, 6), brand_bias_strength=bias, seed=seed)
+@pytest.mark.parametrize("kw", [
+    pytest.param(dict(seed=5), id="5-1.0"),
+    pytest.param(dict(seed=17, brand_bias_strength=0.0), id="17-0.0"),
+    pytest.param(dict(seed=23, brand_bias_strength=2.5), id="23-2.5"),
+    pytest.param(dict(n_markets=4, n_sessions_per_brand=1), id="unvisited-markets"),
+    pytest.param(dict(hotels_per_market=1), id="one-hotel-markets"),
+    pytest.param(dict(session_length=(2, 2)), id="length-2-2"),
+    pytest.param(dict(session_length=(5, 12)), id="length-5-12"),
+    pytest.param(dict(n_markets=1), id="one-market"),
+    pytest.param(dict(n_markets=2, hotels_per_market=150, n_sessions_per_brand=4400,
+                      seed=8), id="150-hotels-2000-sessions-per-market"),
+])
+def test_sessions_match_the_click_at_a_time_reference(kw):
+    # generate_sessions walks all of a market's sessions one click at a time
+    # from one CDF table; the reference walks one session at a time and
+    # builds every click's CDF from the definitions
+    cfg = tiny_cfg(**{**dict(n_markets=3, hotels_per_market=7, n_sessions_per_brand=300,
+                             session_length=(2, 6), brand_bias_strength=1.0), **kw})
     world = generate_world(cfg)
     for brand in ("A", "B"):
         assert generate_sessions(world, brand, cfg).sessions == \
             reference_generate_sessions(world, brand, cfg)
+
+
+class _TopUniforms:
+    """A sessions substream whose integers are the real ones but whose
+    every uniform is the largest double below 1."""
+    TOP = 1 - 2**-53
+
+    def __init__(self, *key):
+        self._rng = substream(*key)
+
+    def integers(self, *args):
+        return self._rng.integers(*args)
+
+    def random(self, size=None, out=None):
+        if out is not None:
+            out[...] = self.TOP
+            return out
+        return self.TOP if size is None else np.full(size, self.TOP)
+
+
+def test_a_start_uniform_past_the_start_cdf_picks_the_last_hotel(monkeypatch):
+    # a start CDF's last entry can round below 1.0; the start click used to
+    # index one past the market's hotels and raise IndexError
+    cfg = tiny_cfg(n_markets=4, hotels_per_market=9, n_sessions_per_brand=40, seed=3)
+    world = generate_world(cfg)
+    catalog = world.catalog
+    below_one = [m for m, rows in zip(catalog.market_ids, catalog.members)
+                 if np.cumsum(world.brand_popularity["A"][rows] /
+                              world.brand_popularity["A"][rows].sum())[-1] < 1.0]
+    assert below_one
+    monkeypatch.setattr(synth, "substream", _TopUniforms)
+    monkeypatch.setattr(oracles, "substream", _TopUniforms)
+    sessions = generate_sessions(world, "A", cfg).sessions
+    assert sessions == reference_generate_sessions(world, "A", cfg)
+    assert set(below_one) <= {s.market_id for s in sessions}
+    for s in sessions:
+        last = catalog.hotel_ids[catalog.members[catalog.market_ids.index(s.market_id)][-1]]
+        assert s.clicks == (last,) * len(s.clicks)
 
 
 def test_zero_bias_start_distribution_matches_shared_popularity():
