@@ -273,6 +273,9 @@ def main(argv=None) -> int:
     except (DataError, ValueError, OSError, model.TrainingDiverged) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError:  # a size past memory, such as gen --sessions 10**12
+        print(f"error: {args.command}: out of memory", file=sys.stderr)
+        return 1
     finally:
         warnings.formatwarning = saved
 

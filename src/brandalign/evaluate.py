@@ -105,17 +105,36 @@ class _MarketCache:
 _BLOCK_CELLS = 2 ** 14  # score cells (queries x candidates) per block: 128 KB
 
 
-def _orders(cache: _MarketCache, queries, mode: str) -> np.ndarray:
-    """Each query's scored pool positions (its own among them) in rank
-    order: descending score, ties by ascending position, by a stable sort."""
-    present = cache.present
-    cols = np.flatnonzero(present)
+def _scores(cache: _MarketCache, queries, mode: str) -> np.ndarray:
+    """Score of every pool position for each query: a dot product, or with
+    mode="cosine" its cosine (0 where a vector is absent or zero)."""
     scores = np.matmul(cache.matrix[None], cache.matrix[queries][:, :, None])[:, :, 0]
     if mode == "cosine":
         qn = cache.q_norms[queries][:, None]
         scores = np.divide(scores, cache.norms * qn, out=np.zeros_like(scores),
-                           where=present & (cache.norms > 0) & (qn > 0))
-    return cols[np.argsort(-scores[:, cols], axis=1, kind="stable")]
+                           where=cache.present & (cache.norms > 0) & (qn > 0))
+    return scores
+
+
+def _sorted_keys(scores: np.ndarray, present: np.ndarray):
+    """Order a (queries, pool) score block's present columns as int64 keys,
+    (row * n_ranks + dense rank) * pool + position, the dense rank numbering
+    the block's distinct scores from the highest (np.unique ranks -0.0 with
+    0.0 and every NaN last, as a stable sort of -score would). Returns the
+    keys, shape (queries, present), and all of them sorted: row by row,
+    descending score, ties by ascending position (ascending hotel id)."""
+    cols = np.flatnonzero(present)
+    uniq, dense = np.unique(-scores[:, cols], return_inverse=True)
+    rows = np.arange(len(scores))[:, None]
+    keys = (rows * len(uniq) + dense.reshape(len(scores), -1)) * len(present) + cols
+    return keys, np.sort(keys, axis=None)
+
+
+def _orders(cache: _MarketCache, queries, mode: str) -> np.ndarray:
+    """Each query's scored pool positions (its own among them) in rank
+    order, decoded from _sorted_keys' sorted keys."""
+    _, ordered = _sorted_keys(_scores(cache, queries, mode), cache.present)
+    return (ordered % len(cache.present)).reshape(len(queries), -1)
 
 
 def rank_candidates(event: PredictionEvent, space: EmbeddingSpace,
@@ -126,8 +145,14 @@ def rank_candidates(event: PredictionEvent, space: EmbeddingSpace,
     descending score, ties by ascending hotel id, candidates without an
     embedding at the end (also by ascending id)."""
     _check_options(mode, pool)
+    if event.market_id not in catalog.market_ids:
+        raise ValueError(f"market {event.market_id!r} is not in the catalog ({pool} pool)")
     cache = _MarketCache(catalog, catalog.market_ids.index(event.market_id),
                          lookup or space.vectors.get, space.dim, pool)
+    if event.query not in cache.ids:
+        where = (f"the pool of market {event.market_id!r}" if pool == "market"
+                 else "the global pool")
+        raise ValueError(f"query hotel {event.query!r} is not in {where}")
     q = cache.ids.index(event.query)
     if not cache.present[q]:
         raise ValueError(f"query hotel {event.query!r} missing from space")
@@ -138,23 +163,26 @@ def rank_candidates(event: PredictionEvent, space: EmbeddingSpace,
 
 def _pool_ranks(cache: _MarketCache, q_pos, t_pos, mode: str):
     """Truth ranks of events given as pool positions. Each distinct query is
-    ordered once by _orders: an event's rank is its truth's place, less the
-    query's. A truth without an embedding follows them, by position."""
+    ordered once, by the _sorted_keys that _orders reads: an event's rank is
+    its truth key's place among its row's sorted keys, less one if the
+    query's key is below it. A truth without an embedding follows them, by
+    position."""
     present = cache.present
     n_scored = int(np.count_nonzero(present))
     ranks = n_scored - 1 + np.cumsum(~present)[t_pos]
+    col = np.cumsum(present) - 1  # position -> column of the scored ones
     scored = np.flatnonzero(present[t_pos])
     queries, which = np.unique(q_pos[scored], return_inverse=True)
     step = max(1, _BLOCK_CELLS // len(present))
     for lo in range(0, len(queries), step):
-        order = _orders(cache, queries[lo:lo + step], mode)
-        place = np.empty((len(order), len(present)), np.intp)  # position -> place
-        np.put_along_axis(place, order, np.arange(n_scored), axis=1)
+        keys, ordered = _sorted_keys(_scores(cache, queries[lo:lo + step], mode),
+                                     present)
         block = which // step == lo // step
         ev, rows = scored[block], which[block] - lo
-        p_t = place[rows, t_pos[ev]]
+        k_t = keys[rows, col[t_pos[ev]]]
         # the query is present and never its own candidate
-        ranks[ev] = 1 + p_t - (place[rows, q_pos[ev]] < p_t)
+        ranks[ev] = 1 + np.searchsorted(ordered, k_t) - rows * n_scored - (
+            keys[rows, col[q_pos[ev]]] < k_t)
     return ranks
 
 
@@ -164,10 +192,10 @@ def _event_ranks(events: Events, catalog: HotelCatalog, get, dim: int, mode: str
 
     Returns (ranks, skipped_count, missing_candidate_count), ranks a float
     array in input order. A rank is the truth's place in rank_candidates'
-    order, which reads the same _orders: descending score, ties by ascending
-    id, candidates without an embedding after all scored ones (by ascending
-    id). A truth outside the pool (a click into another market) misses:
-    rank inf.
+    order, which reads the same _sorted_keys: descending score, ties by
+    ascending id, candidates without an embedding after all scored ones (by
+    ascending id). A truth outside the pool (a click into another market)
+    misses: rank inf.
     """
     _check_options(mode, pool)
     keys = events.market if pool == "market" else np.zeros(len(events), np.intp)

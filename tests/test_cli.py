@@ -108,6 +108,19 @@ def test_gen_max_len_past_int64_is_one_error_line(tmp_path, capsys):
     assert capsys.readouterr().err == "error: high is out of bounds for int64\n"
 
 
+@pytest.mark.parametrize("command, target", [("gen", (synth, "write_world")),
+                                             ("repro", (repro, "run_repro"))])
+def test_out_of_memory_is_one_error_line(tmp_path, capsys, monkeypatch, command,
+                                         target):
+    # numpy's _ArrayMemoryError is a MemoryError; raised here, never allocated
+    def exhausted(*_args, **_kwargs):
+        raise MemoryError("Unable to allocate 7.28 TiB")
+
+    monkeypatch.setattr(*target, exhausted)
+    assert main([command, "--out-dir", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: {command}: out of memory\n"
+
+
 # ---------------------------------------------------------------------------
 # train
 

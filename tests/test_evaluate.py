@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from brandalign.data import BrandMapping, ClickSession, DataError, SessionSet
 from brandalign.evaluate import (_BLOCK_CELLS, Events, MetricsReport, PredictionEvent,
-                                 _build_report, _event_ranks, _MarketCache,
+                                 _build_report, _event_ranks, _MarketCache, _orders,
+                                 _pool_ranks, _scores,
                                  cross_brand_evaluate,
                                  evaluate, hits_at_k, make_events,
                                  mrr_at_k, rank_candidates, write_metrics)
@@ -206,6 +207,24 @@ def test_rank_candidates_missing_query_raises():
     space = space_of(catalog, {"a": [1.0, 0.0]})
     with pytest.raises(ValueError, match="missing"):
         rank_candidates(PredictionEvent("Q", "a", "m0"), space, catalog)
+
+
+def test_rank_candidates_unknown_market_names_it():
+    catalog = make_catalog({"m0": ["Q", "a"]})
+    space = space_of(catalog, {"Q": [1.0], "a": [1.0]})
+    for pool in ("market", "global"):
+        with pytest.raises(ValueError, match=rf"^market 'm9' is not in the catalog "
+                                             rf"\({pool} pool\)$"):
+            rank_candidates(PredictionEvent("Q", "a", "m9"), space, catalog, pool=pool)
+
+
+def test_rank_candidates_query_outside_the_pool_names_hotel_and_pool():
+    catalog = make_catalog({"m0": ["Q", "a"], "m1": ["x"]})
+    space = space_of(catalog, {h: [1.0] for h in ("Q", "a", "x")})
+    with pytest.raises(ValueError, match=r"^query hotel 'x' is not in the pool of market 'm0'$"):
+        rank_candidates(PredictionEvent("x", "a", "m0"), space, catalog)
+    with pytest.raises(ValueError, match=r"^query hotel 'h9' is not in the global pool$"):
+        rank_candidates(PredictionEvent("h9", "a", "m0"), space, catalog, pool="global")
 
 
 # ---------------------------------------------------------------------------
@@ -584,6 +603,41 @@ def test_rank_candidates_is_the_order_event_ranks_read(seed):
                                        mode, pool=pool)
             assert [rank_candidates(ev, space, catalog, mode=mode, pool=pool)
                     .index(ev.truth) + 1 for ev in events] == ranks.tolist()
+
+
+# rows whose scores tie often: signed zeros, and rows whose dot products
+# overflow to +-inf or, as inf - inf, to nan
+_PALETTE = np.array([[0.0, 0.0], [-0.0, 0.0], [-0.0, -0.0], [1.0, -2.0], [0.5, 0.25],
+                     [-1.0, 2.0], [2.0, -4.0], [3.0, 0.0], [1e-300, 0.0],
+                     [1e200, 1e200], [1e200, -1e200], [-1e200, 3.0]])
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 300),
+       blocks=st.floats(0.01, 2.5), mode=st.sampled_from(["cosine", "model"]))
+@settings(max_examples=150, deadline=None)
+def test_orders_are_the_stable_argsort_of_the_scores(seed, n, blocks, mode):
+    # queries from a fraction of one _pool_ranks block up to more than two
+    rng = np.random.default_rng(seed)
+    catalog = make_catalog({"m0": [f"h{j:03d}" for j in range(n)]})
+    palette = _PALETTE[rng.integers(len(_PALETTE), size=n)]
+    present = rng.random(n) < 0.8
+    present[rng.integers(n)] = True
+    vectors = {h: palette[i] for i, h in enumerate(catalog.hotel_ids) if present[i]}
+    cols = np.flatnonzero(present)
+    n_queries = max(1, round(blocks * (_BLOCK_CELLS // n)))
+    queries, truths = rng.choice(cols, size=(2, n_queries))
+    with np.errstate(all="ignore"):
+        cache = _MarketCache(catalog, 0, vectors.get, 2)
+        expected = cols[np.argsort(-_scores(cache, queries, mode)[:, cols], axis=1,
+                                   kind="stable")]
+        assert _orders(cache, queries, mode).tolist() == expected.tolist()
+        ranks = _pool_ranks(cache, queries, truths, mode)
+    # each event's rank reads the same order: the truth's place, less the query's
+    rows = np.arange(n_queries)
+    place = np.empty((n_queries, n), np.intp)
+    place[rows[:, None], expected] = np.arange(len(cols))
+    p_t, p_q = place[rows, truths], place[rows, queries]
+    assert ranks.tolist() == (1 + p_t - (p_q < p_t)).tolist()
 
 
 def test_cosine_query_norms_equal_the_one_vector_norm_bit_for_bit():
