@@ -116,34 +116,47 @@ def _scores(cache: _MarketCache, queries, mode: str) -> np.ndarray:
     return scores
 
 
-def _sorted_keys(scores: np.ndarray, present: np.ndarray):
-    """Order a (queries, pool) score block's present columns as int64 keys,
-    (row * n_ranks + dense rank) * pool + position, the dense rank numbering
-    the block's distinct scores from the highest (np.unique ranks -0.0 with
-    0.0 and every NaN last, as a stable sort of -score would). Returns the
-    keys, shape (queries, present), and all of them sorted: row by row,
-    descending score, ties by ascending position (ascending hotel id)."""
-    cols = np.flatnonzero(present)
-    uniq, dense = np.unique(-scores[:, cols], return_inverse=True)
-    rows = np.arange(len(scores))[:, None]
-    keys = (rows * len(uniq) + dense.reshape(len(scores), -1)) * len(present) + cols
-    return keys, np.sort(keys, axis=None)
+_ABSENT_KEY = np.iinfo(np.int64).max  # a candidate without an embedding
+_NAN_KEY = _ABSENT_KEY - 1
+
+
+def _keys(scores: np.ndarray) -> np.ndarray:
+    """int64 order keys of scores, ascending as the score descends: the bits
+    of -score + 0.0 (which folds -0.0 into 0.0) made monotone, and one key
+    for every NaN, above every number's. Sorted with ties by position, they
+    give the stable argsort of -score."""
+    neg = np.negative(scores)
+    neg += 0.0
+    keys = neg.view(np.int64)
+    flip = keys >> 63  # a negative float's order reversed
+    flip &= _ABSENT_KEY
+    keys ^= flip
+    keys[np.isnan(scores)] = _NAN_KEY
+    return keys
+
+
+def _pool_keys(cache: _MarketCache, queries, mode: str) -> np.ndarray:
+    """_keys of every pool position for each query, a candidate without an
+    embedding keyed after all scored ones."""
+    keys = _keys(_scores(cache, queries, mode))
+    keys[:, ~cache.present] = _ABSENT_KEY
+    return keys
 
 
 def _orders(cache: _MarketCache, queries, mode: str) -> np.ndarray:
-    """Each query's scored pool positions (its own among them) in rank
-    order, decoded from _sorted_keys' sorted keys."""
-    _, ordered = _sorted_keys(_scores(cache, queries, mode), cache.present)
-    return (ordered % len(cache.present)).reshape(len(queries), -1)
+    """Each query's pool positions (its own among them) in rank order:
+    ascending _pool_keys, ties by ascending position (hotel id)."""
+    return np.argsort(_pool_keys(cache, queries, mode), axis=1, kind="stable")
 
 
 def rank_candidates(event: PredictionEvent, space: EmbeddingSpace,
                     catalog: HotelCatalog, mode: str = "cosine",
                     pool: str = "market",
                     lookup=None) -> list[str]:
-    """Full candidate ordering, the batched ranker's own for this event:
+    """Full candidate ordering, by the keys the batched ranker counts:
     descending score, ties by ascending hotel id, candidates without an
-    embedding at the end (also by ascending id)."""
+    embedding at the end (also by ascending id). Unlike _event_ranks with a
+    cap, every place in it is exact."""
     _check_options(mode, pool)
     if event.market_id not in catalog.market_ids:
         raise ValueError(f"market {event.market_id!r} is not in the catalog ({pool} pool)")
@@ -156,45 +169,73 @@ def rank_candidates(event: PredictionEvent, space: EmbeddingSpace,
     q = cache.ids.index(event.query)
     if not cache.present[q]:
         raise ValueError(f"query hotel {event.query!r} missing from space")
-    ids = cache.ids
-    return ([ids[i] for i in _orders(cache, np.array([q]), mode)[0] if i != q]
-            + [ids[i] for i in np.flatnonzero(~cache.present)])
+    return [cache.ids[i] for i in _orders(cache, np.array([q]), mode)[0] if i != q]
 
 
-def _pool_ranks(cache: _MarketCache, q_pos, t_pos, mode: str):
-    """Truth ranks of events given as pool positions. Each distinct query is
-    ordered once, by the _sorted_keys that _orders reads: an event's rank is
-    its truth key's place among its row's sorted keys, less one if the
-    query's key is below it. A truth without an embedding follows them, by
-    position."""
-    present = cache.present
-    n_scored = int(np.count_nonzero(present))
-    ranks = n_scored - 1 + np.cumsum(~present)[t_pos]
-    col = np.cumsum(present) - 1  # position -> column of the scored ones
-    scored = np.flatnonzero(present[t_pos])
-    queries, which = np.unique(q_pos[scored], return_inverse=True)
-    step = max(1, _BLOCK_CELLS // len(present))
-    for lo in range(0, len(queries), step):
-        keys, ordered = _sorted_keys(_scores(cache, queries[lo:lo + step], mode),
-                                     present)
-        block = which // step == lo // step
-        ev, rows = scored[block], which[block] - lo
-        k_t = keys[rows, col[t_pos[ev]]]
-        # the query is present and never its own candidate
-        ranks[ev] = 1 + np.searchsorted(ordered, k_t) - rows * n_scored - (
-            keys[rows, col[q_pos[ev]]] < k_t)
-    return ranks
+def _groups(idx, size: int):
+    """The distinct values of idx (integers below size), ascending, and each
+    entry's place among them."""
+    seen = np.zeros(size, bool)
+    seen[idx] = True
+    return np.flatnonzero(seen), (np.cumsum(seen) - 1)[idx]
+
+
+def _pool_ranks(cache: _MarketCache, q_pos, t_pos, mode: str, cap=None):
+    """Truth ranks of events given as pool positions (the query's present),
+    one more than the candidates ahead of the truth in _orders' order: a
+    smaller _pool_keys key, or an equal one at a lower position, the query
+    not counted.
+
+    Ranks are exact up to cap (all of them with cap None); a later one is
+    cap + 1. Each distinct query is scored once, and one partition puts the
+    cap + 1 smallest keys of its row first, the largest of them, the row's
+    threshold, last. A truth keyed past the threshold has cap others ahead;
+    one below it is counted against those keys alone; one tied with it
+    follows the keys below the threshold and the threshold keys at lower
+    positions, counted over the block's rows that need them."""
+    n = len(cache.present)
+    last = n - 1 if cap is None else int(min(cap, n - 1))  # the threshold's place
+    queries, which = _groups(q_pos, n)
+    step = max(1, _BLOCK_CELLS // n)
+    order = np.argsort(which)  # events grouped by block
+    ends = np.searchsorted(which[order], np.arange(0, len(queries) + step, step))
+    ranks = np.empty(len(q_pos), np.intp)
+    for b, lo in enumerate(range(0, len(queries), step)):
+        keys = _pool_keys(cache, queries[lo:lo + step], mode)
+        top = np.partition(keys, last, axis=1)
+        thr = top[:, last]
+        ev = order[ends[b]:ends[b + 1]]
+        rows, t, q = which[ev] - lo, t_pos[ev], q_pos[ev]
+        k_t, k_q = keys[rows, t], keys[rows, q]
+        ahead = np.full(len(ev), last + 1)  # past the threshold
+        below = np.flatnonzero(k_t < thr[rows])
+        head, k = top[rows[below], :last], k_t[below, None]
+        ahead[below] = np.count_nonzero(head < k, axis=1)
+        # an equal key (a tie below the threshold) counts at a lower position
+        dup = below[np.count_nonzero(head == k, axis=1) > 1]
+        ahead[dup] += np.count_nonzero((keys[rows[dup]] == k_t[dup, None])
+                                       & (np.arange(n) < t[dup, None]), axis=1)
+        tied = np.flatnonzero(k_t == thr[rows])
+        sub, r = _groups(rows[tied], len(keys))
+        # running count of threshold keys, by position, over those rows
+        run = np.concatenate(([0], np.cumsum(keys[sub] == thr[sub, None], axis=None)))
+        ahead[tied] = (np.count_nonzero(top[sub, :last] < thr[sub, None], axis=1)[r]
+                       + run[r * n + t[tied]] - run[r * n])
+        ranks[ev] = 1 + ahead - ((k_q < k_t) | ((k_q == k_t) & (q < t)))
+    return ranks if cap is None else np.minimum(ranks, cap + 1)
 
 
 def _event_ranks(events: Events, catalog: HotelCatalog, get, dim: int, mode: str,
-                 skip_missing_query: bool = False, pool: str = "market"):
+                 skip_missing_query: bool = False, pool: str = "market", cap=None):
     """Rank of the truth for every evaluated event (1-based).
 
     Returns (ranks, skipped_count, missing_candidate_count), ranks a float
     array in input order. A rank is the truth's place in rank_candidates'
-    order, which reads the same _sorted_keys: descending score, ties by
-    ascending id, candidates without an embedding after all scored ones (by
-    ascending id). A truth outside the pool (a click into another market)
+    order, which sorts the keys _pool_ranks counts: descending score, ties
+    by ascending id, candidates without an embedding after all scored ones
+    (by ascending id). Ranks are exact up to cap, the largest k a report
+    reads (all of them with cap None); a later one, a miss at every such k,
+    is cap + 1. A truth outside the pool (a click into another market)
     misses: rank inf.
     """
     _check_options(mode, pool)
@@ -212,13 +253,20 @@ def _event_ranks(events: Events, catalog: HotelCatalog, get, dim: int, mode: str
         ranks[rows[~found]] = -1
         missing_total += cache.n_missing * int(np.count_nonzero(found))
         inside = found & (t_pos >= 0)
-        ranks[rows[inside]] = _pool_ranks(cache, q_pos[inside], t_pos[inside], mode)
+        ranks[rows[inside]] = _pool_ranks(cache, q_pos[inside], t_pos[inside], mode,
+                                          cap)
     if not skip_missing_query and (ranks < 0).any():  # the first in input order
         query = events[int(np.argmax(ranks < 0))].query
         raise ValueError(f"query hotel {query!r} missing from space")
     kept = ranks[ranks >= 0]
     kept[kept == 0] = math.inf
     return kept, len(events) - len(kept), missing_total
+
+
+def _cap(ks):
+    """The deepest rank a report of ks reads, or None (exact ranks) when ks
+    is empty or holds a k that _checked refuses."""
+    return max(ks) if len(ks) and min(ks) >= 1 else None
 
 
 def _checked(ranks, k: int) -> np.ndarray:
@@ -260,7 +308,7 @@ def evaluate(test_sessions: SessionSet, space: EmbeddingSpace,
     """In-brand evaluation over all consecutive-click events."""
     events = make_events(test_sessions, catalog)
     ranks, _, missing = _event_ranks(events, catalog, space.vectors.get,
-                                     space.dim, mode, pool=pool)
+                                     space.dim, mode, pool=pool, cap=_cap(ks))
     meta = dict(metadata or {})
     meta["missing_candidates"] = missing
     return _build_report(ranks, ks, mode, "in_brand", meta)
@@ -284,7 +332,8 @@ def cross_brand_evaluate(test_sessions: SessionSet, source_space: EmbeddingSpace
 
     ranks, skipped, missing = _event_ranks(events, catalog, get,
                                            source_space.dim, mode,
-                                           skip_missing_query=True, pool=pool)
+                                           skip_missing_query=True, pool=pool,
+                                           cap=_cap(ks))
     if not len(ranks):
         raise ValueError("no evaluable events: every query was unmapped")
     meta = dict(metadata or {})

@@ -86,7 +86,7 @@ def _curve_sink(test_sessions, catalog, seed, rows):
 
     def sink(step, space):
         ranks, _, _ = _event_ranks(events, catalog, space.vectors.get,
-                                   space.dim, "cosine")
+                                   space.dim, "cosine", cap=100)
         rows.append({
             "step": step,
             "hits@10": hits_at_k(ranks, 10),

@@ -442,6 +442,23 @@ def test_cross_brand_all_queries_unmapped_raises():
                              catalog)
 
 
+@pytest.mark.parametrize("pool", ["market", "global"])
+def test_reports_of_no_k_and_of_a_k_below_1(pool):
+    # ranks are cut at the largest k: an empty ks reports no rows, and a k
+    # below 1 is the report's error, not one of a ranker asked for that depth
+    catalog = make_catalog({"m0": ["A", "B"]})
+    space = space_of(catalog, {"A": [1.0, 0.0], "B": [0.5, 0.5]})
+    sessions = make_sessions("X", [["A", "B"], ["B", "A"]], catalog)
+    mapping = BrandMapping({"A": "A", "B": "B"})
+    for run in (lambda ks: evaluate(sessions, space, catalog, ks=ks, pool=pool),
+                lambda ks: cross_brand_evaluate(sessions, space, mapping, catalog,
+                                                ks=ks, pool=pool)):
+        assert run(()).rows == {}
+        for ks in ((0,), (-3,), (10, 0)):
+            with pytest.raises(ValueError, match=r"^k must be >= 1$"):
+                run(ks)
+
+
 # ---------------------------------------------------------------------------
 # blocked ranker vs the per-event reference loop
 
@@ -613,10 +630,12 @@ _PALETTE = np.array([[0.0, 0.0], [-0.0, 0.0], [-0.0, -0.0], [1.0, -2.0], [0.5, 0
 
 
 @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 300),
-       blocks=st.floats(0.01, 2.5), mode=st.sampled_from(["cosine", "model"]))
+       blocks=st.floats(0.01, 2.5), mode=st.sampled_from(["cosine", "model"]),
+       data=st.data())
 @settings(max_examples=150, deadline=None)
-def test_orders_are_the_stable_argsort_of_the_scores(seed, n, blocks, mode):
+def test_orders_are_the_stable_argsort_of_the_scores(seed, n, blocks, mode, data):
     # queries from a fraction of one _pool_ranks block up to more than two
+    cap = data.draw(st.none() | st.integers(1, n + 1), label="cap")
     rng = np.random.default_rng(seed)
     catalog = make_catalog({"m0": [f"h{j:03d}" for j in range(n)]})
     palette = _PALETTE[rng.integers(len(_PALETTE), size=n)]
@@ -625,19 +644,24 @@ def test_orders_are_the_stable_argsort_of_the_scores(seed, n, blocks, mode):
     vectors = {h: palette[i] for i, h in enumerate(catalog.hotel_ids) if present[i]}
     cols = np.flatnonzero(present)
     n_queries = max(1, round(blocks * (_BLOCK_CELLS // n)))
-    queries, truths = rng.choice(cols, size=(2, n_queries))
+    queries, truths = rng.choice(cols, size=n_queries), rng.integers(n, size=n_queries)
     with np.errstate(all="ignore"):
         cache = _MarketCache(catalog, 0, vectors.get, 2)
-        expected = cols[np.argsort(-_scores(cache, queries, mode)[:, cols], axis=1,
-                                   kind="stable")]
+        scored = cols[np.argsort(-_scores(cache, queries, mode)[:, cols], axis=1,
+                                 kind="stable")]
+        # candidates without an embedding follow, by position
+        absent = np.broadcast_to(np.flatnonzero(~present), (n_queries, n - len(cols)))
+        expected = np.hstack([scored, absent])
         assert _orders(cache, queries, mode).tolist() == expected.tolist()
-        ranks = _pool_ranks(cache, queries, truths, mode)
+        ranks = _pool_ranks(cache, queries, truths, mode, cap)
     # each event's rank reads the same order: the truth's place, less the query's
     rows = np.arange(n_queries)
     place = np.empty((n_queries, n), np.intp)
-    place[rows[:, None], expected] = np.arange(len(cols))
+    place[rows[:, None], expected] = np.arange(n)
     p_t, p_q = place[rows, truths], place[rows, queries]
-    assert ranks.tolist() == (1 + p_t - (p_q < p_t)).tolist()
+    exact = 1 + p_t - (p_q < p_t)
+    # up to the cap exact, past it cap + 1
+    assert ranks.tolist() == (exact if cap is None else np.minimum(exact, cap + 1)).tolist()
 
 
 def test_cosine_query_norms_equal_the_one_vector_norm_bit_for_bit():
