@@ -189,10 +189,10 @@ def _pool_ranks(cache: _MarketCache, q_pos, t_pos, mode: str, cap=None):
     Ranks are exact up to cap (all of them with cap None); a later one is
     cap + 1. Each distinct query is scored once, and one partition puts the
     cap + 1 smallest keys of its row first, the largest of them, the row's
-    threshold, last. A truth keyed past the threshold has cap others ahead;
-    one below it is counted against those keys alone; one tied with it
-    follows the keys below the threshold and the threshold keys at lower
-    positions, counted over the block's rows that need them."""
+    threshold, last. A truth keyed past the threshold has cap others ahead.
+    Every other truth counts the smaller keys among those first ones, plus
+    the equal keys at lower positions over its full row: only a truth tied
+    with the threshold, or whose key repeats among them, has any."""
     n = len(cache.present)
     last = n - 1 if cap is None else int(min(cap, n - 1))  # the threshold's place
     queries, which = _groups(q_pos, n)
@@ -208,19 +208,13 @@ def _pool_ranks(cache: _MarketCache, q_pos, t_pos, mode: str, cap=None):
         rows, t, q = which[ev] - lo, t_pos[ev], q_pos[ev]
         k_t, k_q = keys[rows, t], keys[rows, q]
         ahead = np.full(len(ev), last + 1)  # past the threshold
-        below = np.flatnonzero(k_t < thr[rows])
-        head, k = top[rows[below], :last], k_t[below, None]
-        ahead[below] = np.count_nonzero(head < k, axis=1)
-        # an equal key (a tie below the threshold) counts at a lower position
-        dup = below[np.count_nonzero(head == k, axis=1) > 1]
-        ahead[dup] += np.count_nonzero((keys[rows[dup]] == k_t[dup, None])
-                                       & (np.arange(n) < t[dup, None]), axis=1)
-        tied = np.flatnonzero(k_t == thr[rows])
-        sub, r = _groups(rows[tied], len(keys))
-        # running count of threshold keys, by position, over those rows
-        run = np.concatenate(([0], np.cumsum(keys[sub] == thr[sub, None], axis=None)))
-        ahead[tied] = (np.count_nonzero(top[sub, :last] < thr[sub, None], axis=1)[r]
-                       + run[r * n + t[tied]] - run[r * n])
+        inside = np.flatnonzero(k_t <= thr[rows])
+        head, k = top[rows[inside], :last], k_t[inside, None]
+        ahead[inside] = np.count_nonzero(head < k, axis=1)
+        tie = inside[(k[:, 0] == thr[rows[inside]])
+                     | (np.count_nonzero(head == k, axis=1) > 1)]
+        ahead[tie] += np.count_nonzero((keys[rows[tie]] == k_t[tie, None])
+                                       & (np.arange(n) < t[tie, None]), axis=1)
         ranks[ev] = 1 + ahead - ((k_q < k_t) | ((k_q == k_t) & (q < t)))
     return ranks if cap is None else np.minimum(ranks, cap + 1)
 
