@@ -86,7 +86,8 @@ def _check_options(mode: str, pool: str):
 
 class _MarketCache:
     """Per-market (or whole-catalog) candidate table resolved against one
-    embedding space."""
+    embedding space: matrix holds the vectors (zero where absent), unit each
+    row divided by its norm (zero where the row is absent or zero)."""
 
     def __init__(self, catalog: HotelCatalog, code: int, get, dim: int,
                  pool: str = "market"):
@@ -96,9 +97,9 @@ class _MarketCache:
         vecs = [get(h) for h in self.ids]
         self.present = np.array([v is not None for v in vecs])
         self.matrix = np.stack([np.zeros(dim) if v is None else v for v in vecs])
-        self.norms = np.linalg.norm(self.matrix, axis=1)
-        m = self.matrix  # cosine query norms with the bits of 1-D np.linalg.norm
-        self.q_norms = np.sqrt(np.matmul(m[:, None], m[:, :, None])[:, 0, 0])
+        norms = np.linalg.norm(self.matrix, axis=1)[:, None]
+        self.unit = np.divide(self.matrix, norms, out=np.zeros_like(self.matrix),
+                              where=norms > 0)
         self.n_missing = int(np.sum(~self.present))
 
 
@@ -106,14 +107,11 @@ _BLOCK_CELLS = 2 ** 14  # score cells (queries x candidates) per block: 128 KB
 
 
 def _scores(cache: _MarketCache, queries, mode: str) -> np.ndarray:
-    """Score of every pool position for each query: a dot product, or with
-    mode="cosine" its cosine (0 where a vector is absent or zero)."""
-    scores = np.matmul(cache.matrix[None], cache.matrix[queries][:, :, None])[:, :, 0]
-    if mode == "cosine":
-        qn = cache.q_norms[queries][:, None]
-        scores = np.divide(scores, cache.norms * qn, out=np.zeros_like(scores),
-                           where=cache.present & (cache.norms > 0) & (qn > 0))
-    return scores
+    """Score of every pool position for each query: the dot product of the
+    vectors, or with mode="cosine" of the unit rows. One gemv per query, so
+    a query's scores do not depend on the block it is scored in."""
+    table = cache.unit if mode == "cosine" else cache.matrix
+    return np.matmul(table[None], table[queries][:, :, None])[:, :, 0]
 
 
 _ABSENT_KEY = np.iinfo(np.int64).max  # a candidate without an embedding
@@ -257,12 +255,6 @@ def _event_ranks(events: Events, catalog: HotelCatalog, get, dim: int, mode: str
     return kept, len(events) - len(kept), missing_total
 
 
-def _cap(ks):
-    """The deepest rank a report of ks reads, or None (exact ranks) when ks
-    is empty or holds a k that _checked refuses."""
-    return max(ks) if len(ks) and min(ks) >= 1 else None
-
-
 def _checked(ranks, k: int) -> np.ndarray:
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -301,8 +293,8 @@ def evaluate(test_sessions: SessionSet, space: EmbeddingSpace,
              pool: str = "market") -> MetricsReport:
     """In-brand evaluation over all consecutive-click events."""
     events = make_events(test_sessions, catalog)
-    ranks, _, missing = _event_ranks(events, catalog, space.vectors.get,
-                                     space.dim, mode, pool=pool, cap=_cap(ks))
+    ranks, _, missing = _event_ranks(events, catalog, space.vectors.get, space.dim,
+                                     mode, pool=pool, cap=max((1, *ks)))
     meta = dict(metadata or {})
     meta["missing_candidates"] = missing
     return _build_report(ranks, ks, mode, "in_brand", meta)
@@ -327,7 +319,7 @@ def cross_brand_evaluate(test_sessions: SessionSet, source_space: EmbeddingSpace
     ranks, skipped, missing = _event_ranks(events, catalog, get,
                                            source_space.dim, mode,
                                            skip_missing_query=True, pool=pool,
-                                           cap=_cap(ks))
+                                           cap=max((1, *ks)))
     if not len(ranks):
         raise ValueError("no evaluable events: every query was unmapped")
     meta = dict(metadata or {})

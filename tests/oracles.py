@@ -147,7 +147,7 @@ def brute_force_metrics(events, space_vectors, catalog, mode, k,
             nc = float(np.linalg.norm(v))
             if nq == 0.0 or nc == 0.0:
                 return 0.0
-            return float(v_q @ v) / (nq * nc)
+            return float((v_q / nq) @ (v / nc))
 
         scored = [(c, score(c)) for c in candidates]
         present = sorted([(c, s) for c, s in scored if s is not None],
@@ -178,22 +178,21 @@ def _reference_pool(catalog, market_id, get, dim, pool):
     vecs = [get(h) for h in ids]
     present = np.array([v is not None for v in vecs])
     matrix = np.stack([v if v is not None else np.zeros(dim) for v in vecs])
+    # cosine scores are dot products of unit rows: each row over its own
+    # norm, zero rows (and absent ones) left zero
     norms = np.linalg.norm(matrix, axis=1)
-    return present, matrix, norms, {h: i for i, h in enumerate(ids)}
+    unit = np.zeros_like(matrix)
+    nz = norms > 0
+    unit[nz] = matrix[nz] / norms[nz, None]
+    return present, matrix, unit, {h: i for i, h in enumerate(ids)}
 
 
-def _reference_scores(matrix, norms, present, v_q, mode):
-    dots = matrix @ v_q
+def _reference_scores(matrix, unit, q_pos, mode):
     if mode == "model":
-        return dots
+        return matrix @ matrix[q_pos]
     if mode != "cosine":
         raise ValueError(f"unknown mode {mode!r}")
-    q_norm = float(np.linalg.norm(v_q))
-    scores = np.zeros_like(dots)
-    if q_norm > 0:
-        nz = present & (norms > 0)
-        scores[nz] = dots[nz] / (norms[nz] * q_norm)
-    return scores
+    return unit @ unit[q_pos]
 
 
 def reference_event_ranks(events, catalog, get, dim, mode,
@@ -207,7 +206,7 @@ def reference_event_ranks(events, catalog, get, dim, mode,
         key = ev.market_id if pool == "market" else "__global__"
         if key not in pools:
             pools[key] = _reference_pool(catalog, ev.market_id, get, dim, pool)
-        present, matrix, norms, pos = pools[key]
+        present, matrix, unit, pos = pools[key]
         v_q = get(ev.query)
         if v_q is None:
             if skip_missing_query:
@@ -222,7 +221,7 @@ def reference_event_ranks(events, catalog, get, dim, mode,
             continue
         active = present.copy()
         active[q_pos] = False
-        scores = _reference_scores(matrix, norms, present, v_q, mode)
+        scores = _reference_scores(matrix, unit, q_pos, mode)
         if present[t_pos]:
             s_t = scores[t_pos]
             better = np.sum(active & (scores > s_t))

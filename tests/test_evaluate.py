@@ -664,16 +664,27 @@ def test_orders_are_the_stable_argsort_of_the_scores(seed, n, blocks, mode, data
     assert ranks.tolist() == (exact if cap is None else np.minimum(exact, cap + 1)).tolist()
 
 
-def test_cosine_query_norms_equal_the_one_vector_norm_bit_for_bit():
+def test_cosine_scores_are_dot_products_of_unit_rows_whatever_the_block():
+    # a unit row is the row over its norm, zero for an absent row and for one
+    # whose norm is zero (or underflows to it); a query scored among many
+    # queries gets the bits it gets scored alone
     rng = np.random.default_rng(2)
     catalog = make_catalog({"m0": [f"h{j}" for j in range(200)]})
     for dim in (1, 2, 3, 7, 16, 32, 33, 64):
         for scale in (1e-200, 1e-3, 1.0, 1e4, 1e150):
             vectors = {h: rng.normal(size=dim) * scale * (rng.random() > 0.1)
-                       for h in catalog.hotel_ids}
+                       for h in catalog.hotel_ids if rng.random() > 0.1}
             cache = _MarketCache(catalog, 0, vectors.get, dim)
-            one_by_one = np.array([np.linalg.norm(vectors[h]) for h in cache.ids])
-            assert cache.q_norms.tobytes() == one_by_one.tobytes()
+            for h, unit in zip(cache.ids, cache.unit):
+                v = vectors.get(h, np.zeros(dim))
+                norm = np.sqrt(np.sum(v * v))
+                expected = v / norm if norm > 0 else np.zeros(dim)
+                assert unit.tobytes() == expected.tobytes()
+            queries = rng.choice(np.flatnonzero(cache.present), size=40)
+            block = _scores(cache, queries, "cosine")
+            for q, row in zip(queries, block):
+                assert row.tobytes() == _scores(cache, [q], "cosine")[0].tobytes()
+                assert row.tobytes() == (cache.unit @ cache.unit[q]).tobytes()
 
 
 # ---------------------------------------------------------------------------
