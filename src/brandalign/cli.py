@@ -163,7 +163,7 @@ def cmd_eval(args) -> int:
     metadata = {"embeddings": args.embeddings, "mode": args.mode,
                 "pool": args.pool, "seed": args.seed, "split": args.split}
     if args.cross_brand:
-        mapping = load_mapping(args.mapping)
+        mapping = load_mapping(args.mapping, target_catalog=catalog)
         report = cross_brand_evaluate(
             sessions, space, mapping, catalog, mode=args.mode, ks=ks,
             metadata=metadata, pool=args.pool)

@@ -489,6 +489,24 @@ def test_eval_cross_brand(world_dir, trained, tmp_path):
     assert row["setting"] == "cross_brand"
 
 
+def test_eval_cross_brand_mapping_target_outside_the_catalog_names_the_line(
+        world_dir, trained, tmp_path, capsys):
+    # a renamed target once left its hotel unmapped, and eval exited 0 with
+    # metrics over fewer events
+    a_emb, _ = trained
+    lines = (world_dir / "mapping.tsv").read_text().splitlines()
+    assert lines[0] == "h00000\th00000"
+    mapping = tmp_path / "mapping.tsv"
+    mapping.write_text("\n".join(["h00000\tX00000"] + lines[1:]) + "\n")
+    out = tmp_path / "cross.jsonl"
+    rc = main(eval_args(world_dir, a_emb, "B", out, "--cross-brand",
+                        "--mapping", str(mapping)))
+    assert rc == 1
+    assert capsys.readouterr().err == (f"error: {mapping}:1: unknown target hotel "
+                                       f"'X00000'\n")
+    assert not out.exists()
+
+
 def test_eval_cross_brand_requires_mapping(world_dir, trained, tmp_path):
     _, b_emb = trained
     rc = main(eval_args(world_dir, b_emb, "A", tmp_path / "x.jsonl",
