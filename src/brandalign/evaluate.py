@@ -170,14 +170,6 @@ def rank_candidates(event: PredictionEvent, space: EmbeddingSpace,
     return [cache.ids[i] for i in _orders(cache, np.array([q]), mode)[0] if i != q]
 
 
-def _groups(idx, size: int):
-    """The distinct values of idx (integers below size), ascending, and each
-    entry's place among them."""
-    seen = np.zeros(size, bool)
-    seen[idx] = True
-    return np.flatnonzero(seen), (np.cumsum(seen) - 1)[idx]
-
-
 def _pool_ranks(cache: _MarketCache, q_pos, t_pos, mode: str, cap=None):
     """Truth ranks of events given as pool positions (the query's present),
     one more than the candidates ahead of the truth in _orders' order: a
@@ -193,7 +185,9 @@ def _pool_ranks(cache: _MarketCache, q_pos, t_pos, mode: str, cap=None):
     with the threshold, or whose key repeats among them, has any."""
     n = len(cache.present)
     last = n - 1 if cap is None else int(min(cap, n - 1))  # the threshold's place
-    queries, which = _groups(q_pos, n)
+    seen = np.zeros(n, bool)  # the distinct queries, and each event's among them
+    seen[q_pos] = True
+    queries, which = np.flatnonzero(seen), (np.cumsum(seen) - 1)[q_pos]
     step = max(1, _BLOCK_CELLS // n)
     order = np.argsort(which)  # events grouped by block
     ends = np.searchsorted(which[order], np.arange(0, len(queries) + step, step))
