@@ -162,12 +162,15 @@ class ClickSession(NamedTuple):
     clicks: tuple[str, ...]
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class SessionSet:
+    """Immutable: sessions is a tuple; _events is make_events' memo."""
     brand: str
-    sessions: list[ClickSession] = field(default_factory=list)
+    sessions: tuple[ClickSession, ...] = ()
+    _events: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "sessions", tuple(self.sessions))
         for s in self.sessions:
             if s.brand != self.brand:
                 raise DataError(

@@ -10,9 +10,10 @@ metric is bit-for-bit reproducible.
 import json
 import math
 import operator
+import sys
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import chain, repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -46,9 +47,9 @@ class Events(Sequence):
     (-1 for a truth outside the catalog, whose id clicks keeps), market the
     query's HotelCatalog.market_codes. Read one, it is a PredictionEvent."""
 
-    def __init__(self, catalog: HotelCatalog, clicks: list[str], at):
+    def __init__(self, catalog: HotelCatalog, clicks: Sequence[str], at):
         self.catalog, self.clicks = catalog, clicks
-        self.at = np.asarray(at, np.intp)
+        self.at = np.array(at, np.intp)
         rows = np.fromiter(map(catalog.index.get, clicks, repeat(-1)), np.intp,
                            len(clicks))
         self.query, self.truth = rows[self.at], rows[self.at + 1]
@@ -56,6 +57,8 @@ class Events(Sequence):
         if unknown.any():  # the first in input order raises the catalog's error
             catalog.market_of(clicks[self.at[np.argmax(unknown)]])
         self.market = catalog.market_codes[self.query]
+        for a in (self.at, self.query, self.truth, self.market):  # shared by make_events
+            a.flags.writeable = False
 
     def __len__(self) -> int:
         return len(self.at)
@@ -68,13 +71,18 @@ class Events(Sequence):
 
 def make_events(sessions: SessionSet, catalog: HotelCatalog) -> Events:
     """One event per consecutive pair of distinct clicks of a session; an
-    unknown query is the catalog's DataError."""
-    clicks = [c for s in sessions.sessions for c in s.clicks]
+    unknown query is the catalog's DataError. Built once per (split, catalog):
+    a repeat call returns the same Events, another catalog replaces them."""
+    if sessions._events is not None and sessions._events[0] is catalog:
+        return sessions._events[1]
+    clicks = tuple(chain.from_iterable(s.clicks for s in sessions.sessions))
     session = np.repeat(np.arange(len(sessions)), [len(s.clicks) for s in sessions.sessions])
     # a repeat (A A) is no event: the truth must differ from the query
     pair = (session[:-1] == session[1:]) & np.fromiter(
         map(operator.ne, clicks, clicks[1:]), bool, max(len(clicks) - 1, 0))
-    return Events(catalog, clicks, np.flatnonzero(pair))
+    events = Events(catalog, clicks, np.flatnonzero(pair))
+    object.__setattr__(sessions, "_events", (catalog, events))
+    return events
 
 
 def _check_options(mode: str, pool: str):
@@ -84,23 +92,24 @@ def _check_options(mode: str, pool: str):
         raise ValueError(f"unknown pool {pool!r}")
 
 
-class _MarketCache:
-    """Per-market (or whole-catalog) candidate table resolved against one
-    embedding space: matrix holds the vectors (zero where absent), unit each
-    row divided by its norm (zero where the row is absent or zero)."""
+class _MarketCache(NamedTuple):
+    """Candidate table resolved against one embedding space: catalog rows,
+    whether each has a vector, matrix the vectors (zero where absent), unit
+    each row over its norm (zero where absent or zero). A row's norm ignores
+    the rows beside it, so a gathered table keeps its bits."""
+    rows: np.ndarray
+    present: np.ndarray
+    matrix: np.ndarray
+    unit: np.ndarray
 
-    def __init__(self, catalog: HotelCatalog, code: int, get, dim: int,
-                 pool: str = "market"):
-        # catalog rows in ascending id; a global cache ignores code
-        self.rows = catalog.members[code] if pool == "market" else catalog.id_order
-        self.ids = [catalog.hotel_ids[r] for r in self.rows.tolist()]
-        vecs = [get(h) for h in self.ids]
-        self.present = np.array([v is not None for v in vecs])
-        self.matrix = np.stack([np.zeros(dim) if v is None else v for v in vecs])
-        norms = np.linalg.norm(self.matrix, axis=1)[:, None]
-        self.unit = np.divide(self.matrix, norms, out=np.zeros_like(self.matrix),
-                              where=norms > 0)
-        self.n_missing = int(np.sum(~self.present))
+    @classmethod
+    def resolve(cls, catalog: HotelCatalog, rows, get, dim: int):
+        """The table of rows, get called once per row."""
+        vecs = [get(catalog.hotel_ids[r]) for r in rows.tolist()]
+        matrix = np.array([np.zeros(dim) if v is None else v for v in vecs]).reshape(-1, dim)
+        norms = np.linalg.norm(matrix, axis=1)[:, None]
+        return cls(rows, np.array([v is not None for v in vecs], bool), matrix,
+                   np.divide(matrix, norms, out=np.zeros_like(matrix), where=norms > 0))
 
 
 _BLOCK_CELLS = 2 ** 14  # score cells (queries x candidates) per block: 128 KB
@@ -158,16 +167,18 @@ def rank_candidates(event: PredictionEvent, space: EmbeddingSpace,
     _check_options(mode, pool)
     if event.market_id not in catalog.market_ids:
         raise ValueError(f"market {event.market_id!r} is not in the catalog ({pool} pool)")
-    cache = _MarketCache(catalog, catalog.market_ids.index(event.market_id),
-                         lookup or space.vectors.get, space.dim, pool)
-    if event.query not in cache.ids:
+    code = catalog.market_ids.index(event.market_id)
+    rows = catalog.members[code] if pool == "market" else catalog.id_order
+    cache = _MarketCache.resolve(catalog, rows, lookup or space.vectors.get, space.dim)
+    ids = [catalog.hotel_ids[r] for r in rows.tolist()]
+    if event.query not in ids:
         where = (f"the pool of market {event.market_id!r}" if pool == "market"
                  else "the global pool")
         raise ValueError(f"query hotel {event.query!r} is not in {where}")
-    q = cache.ids.index(event.query)
+    q = ids.index(event.query)
     if not cache.present[q]:
         raise ValueError(f"query hotel {event.query!r} missing from space")
-    return [cache.ids[i] for i in _orders(cache, np.array([q]), mode)[0] if i != q]
+    return [ids[i] for i in _orders(cache, np.array([q]), mode)[0] if i != q]
 
 
 def _pool_ranks(cache: _MarketCache, q_pos, t_pos, mode: str, cap=None):
@@ -176,13 +187,13 @@ def _pool_ranks(cache: _MarketCache, q_pos, t_pos, mode: str, cap=None):
     smaller _pool_keys key, or an equal one at a lower position, the query
     not counted.
 
-    Ranks are exact up to cap (all of them with cap None); a later one is
-    cap + 1. Each distinct query is scored once, and one partition puts the
-    cap + 1 smallest keys of its row first, the largest of them, the row's
-    threshold, last. A truth keyed past the threshold has cap others ahead.
-    Every other truth counts the smaller keys among those first ones, plus
-    the equal keys at lower positions over its full row: only a truth tied
-    with the threshold, or whose key repeats among them, has any."""
+    Ranks are exact up to cap (all of them with no cap or one past the pool);
+    a later one is cap + 1. Each distinct query is scored once, and one
+    partition puts the cap + 1 smallest keys of its row first, the largest of
+    them, the row's threshold, last. A truth keyed past the threshold has cap
+    others ahead. Every other truth counts the smaller keys among those first
+    ones, plus the equal keys at lower positions over its full row: only a
+    truth tied with the threshold, or whose key repeats among them, has any."""
     n = len(cache.present)
     last = n - 1 if cap is None else int(min(cap, n - 1))  # the threshold's place
     seen = np.zeros(n, bool)  # the distinct queries, and each event's among them
@@ -208,7 +219,7 @@ def _pool_ranks(cache: _MarketCache, q_pos, t_pos, mode: str, cap=None):
         ahead[tie] += np.count_nonzero((keys[rows[tie]] == k_t[tie, None])
                                        & (np.arange(n) < t[tie, None]), axis=1)
         ranks[ev] = 1 + ahead - ((k_q < k_t) | ((k_q == k_t) & (q < t)))
-    return ranks if cap is None else np.minimum(ranks, cap + 1)
+    return np.minimum(ranks, last + 1)  # a no-op unless last is the cap
 
 
 def _event_ranks(events: Events, catalog: HotelCatalog, get, dim: int, mode: str,
@@ -228,16 +239,21 @@ def _event_ranks(events: Events, catalog: HotelCatalog, get, dim: int, mode: str
     keys = events.market if pool == "market" else np.zeros(len(events), np.intp)
     ranks = np.zeros(len(events))  # 0: truth outside pool, -1: query absent
     missing_total = 0
+    # the rows of every ranked pool resolved once; each pool gathers its own
+    ranked = np.isin(catalog.market_codes, keys) | (pool == "global")
+    table = _MarketCache.resolve(catalog, np.flatnonzero(ranked), get, dim)
+    at = np.cumsum(ranked) - 1  # catalog row -> table position
     for key in np.unique(keys):
         rows = np.flatnonzero(keys == key)
-        cache = _MarketCache(catalog, key, get, dim, pool)
+        pool_rows = catalog.members[key] if pool == "market" else catalog.id_order
+        cache = _MarketCache(*(a[at[pool_rows]] for a in table))
         # catalog row -> pool position; the extra last slot is row -1's
         where = np.full(len(catalog) + 1, -1)
         where[cache.rows] = np.arange(len(cache.rows))
         q_pos, t_pos = where[events.query[rows]], where[events.truth[rows]]
         found = cache.present[q_pos]
         ranks[rows[~found]] = -1
-        missing_total += cache.n_missing * int(np.count_nonzero(found))
+        missing_total += int(np.count_nonzero(~cache.present) * np.count_nonzero(found))
         inside = found & (t_pos >= 0)
         ranks[rows[inside]] = _pool_ranks(cache, q_pos[inside], t_pos[inside], mode,
                                           cap)
@@ -249,21 +265,21 @@ def _event_ranks(events: Events, catalog: HotelCatalog, get, dim: int, mode: str
     return kept, len(events) - len(kept), missing_total
 
 
-def _checked(ranks, k: int) -> np.ndarray:
+def _checked(ranks, k: int) -> tuple:
     if k < 1:
         raise ValueError("k must be >= 1")
     if not len(ranks):
         raise ValueError("no events to evaluate")
-    return np.asarray(ranks, float)
+    return np.asarray(ranks, float), min(k, sys.float_info.max)  # any k >= 1 compares
 
 
 def hits_at_k(ranks, k: int) -> float:
-    ranks = _checked(ranks, k)
+    ranks, k = _checked(ranks, k)
     return int(np.count_nonzero(ranks <= k)) / len(ranks)
 
 
 def mrr_at_k(ranks, k: int) -> float:
-    ranks = _checked(ranks, k)
+    ranks, k = _checked(ranks, k)
     return math.fsum((1.0 / ranks[ranks <= k]).tolist()) / len(ranks)
 
 
@@ -289,8 +305,7 @@ def evaluate(test_sessions: SessionSet, space: EmbeddingSpace,
     events = make_events(test_sessions, catalog)
     ranks, _, missing = _event_ranks(events, catalog, space.vectors.get, space.dim,
                                      mode, pool=pool, cap=max((1, *ks)))
-    meta = dict(metadata or {})
-    meta["missing_candidates"] = missing
+    meta = {**(metadata or {}), "missing_candidates": missing}
     return _build_report(ranks, ks, mode, "in_brand", meta)
 
 
@@ -306,9 +321,7 @@ def cross_brand_evaluate(test_sessions: SessionSet, source_space: EmbeddingSpace
 
     def get(hid):
         src = mapping.to_source(hid)
-        if src is None:
-            return None
-        return source_space.vectors.get(src)
+        return None if src is None else source_space.vectors.get(src)
 
     ranks, skipped, missing = _event_ranks(events, catalog, get,
                                            source_space.dim, mode,
@@ -316,9 +329,7 @@ def cross_brand_evaluate(test_sessions: SessionSet, source_space: EmbeddingSpace
                                            cap=max((1, *ks)))
     if not len(ranks):
         raise ValueError("no evaluable events: every query was unmapped")
-    meta = dict(metadata or {})
-    meta["skipped_events"] = skipped
-    meta["missing_candidates"] = missing
+    meta = {**(metadata or {}), "skipped_events": skipped, "missing_candidates": missing}
     return _build_report(ranks, ks, mode, "cross_brand", meta)
 
 

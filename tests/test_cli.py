@@ -766,6 +766,22 @@ def test_eval_k_below_one_is_usage_error(world_dir, trained, tmp_path, capsys, k
     assert not out.exists()
 
 
+@pytest.mark.parametrize("pool", ["market", "global"])
+def test_eval_k_past_int64_reads_every_rank(world_dir, trained, tmp_path, capsys, pool):
+    # --k 10**20 used to end in an OverflowError traceback from the rank cap;
+    # now it is the row of any k past the pool, such as 1000
+    rows = {}
+    for k in ("1000", str(10 ** 20)):
+        out = tmp_path / f"k{k}.jsonl"
+        assert main(eval_args(world_dir, trained[0], "A", out, "--k", "10",
+                              "--k", k, "--pool", pool)) == 0
+        rows[k] = [json.loads(line) for line in out.read_text().splitlines()]
+    assert capsys.readouterr().err == ""
+    deep, huge = rows["1000"], rows[str(10 ** 20)]
+    assert [r.get("k") for r in huge[:2]] == [10, 10 ** 20]
+    assert [{**r, "k": None} for r in huge] == [{**r, "k": None} for r in deep]
+
+
 def test_eval_missing_embeddings_file(world_dir, tmp_path):
     rc = main(eval_args(world_dir, str(tmp_path / "no.emb"), "A",
                         tmp_path / "x.jsonl"))

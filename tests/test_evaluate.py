@@ -1,13 +1,16 @@
+import dataclasses
 import json
 import math
 import types
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brandalign.data import BrandMapping, ClickSession, DataError, SessionSet
+from brandalign import evaluate as evaluate_module
+from brandalign.data import BrandMapping, ClickSession, DataError, HotelCatalog, SessionSet
 from brandalign.evaluate import (_BLOCK_CELLS, Events, MetricsReport, PredictionEvent,
                                  _build_report, _event_ranks, _MarketCache, _orders,
                                  _pool_ranks, _scores,
@@ -107,6 +110,101 @@ def test_make_events_raise_the_catalog_error_for_the_first_unknown_query():
     sessions = _session_set([["a", "u", "u"], ["b", "v", "a"], ["u", "b"]])
     with pytest.raises(DataError, match=r"^unknown hotel_id 'v'$"):
         make_events(sessions, _EVENT_CATALOG)
+
+
+def test_make_events_are_built_once_per_split_and_catalog():
+    sessions = _session_set([["a", "b", "c"], ["d", "e", "a"]])
+    events = make_events(sessions, _EVENT_CATALOG)
+    assert make_events(sessions, _EVENT_CATALOG) is events
+    # the same ids in another row order: the split's events get its rows
+    other = HotelCatalog(_EVENT_CATALOG.hotels[::-1])
+    again = make_events(sessions, other)
+    assert again is not events and again.catalog is other
+    assert list(again) == list(events)
+    assert again.query.tolist() == [other.index[ev.query] for ev in events]
+    assert again.truth.tolist() == [other.index[ev.truth] for ev in events]
+    assert again.query.tolist() != events.query.tolist()
+    assert make_events(sessions, other) is again
+    # they replaced the first catalog's events, which are built anew
+    first = make_events(sessions, _EVENT_CATALOG)
+    assert first is not events and list(first) == list(events)
+    assert first.query.tolist() == events.query.tolist()
+
+
+def test_session_sets_and_shared_events_are_read_only():
+    sessions = _session_set([["a", "b"], ["c", "a"]])
+    assert type(sessions.sessions) is tuple and len(sessions) == 2
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        sessions.sessions = ()
+    events = make_events(sessions, _EVENT_CATALOG)
+    for name in ("query", "truth", "at", "market"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(events, name)[0] = 1
+    assert events.query.tolist() == [0, 2]
+
+
+def _small_mapped_world():
+    """Two markets with every hotel embedded, an id-permuting mapping onto
+    the same catalog, and sessions with a cross-market truth (B -> D)."""
+    catalog = make_catalog({"m0": ["A", "B", "C"], "m1": ["D", "E"]})
+    rng = np.random.default_rng(5)
+    space = space_of(catalog, {h: rng.normal(size=3) for h in "ABCDE"})
+    mapping = BrandMapping({"A": "B", "B": "A", "C": "C", "D": "E", "E": "D"})
+    sessions = make_sessions("X", [["A", "B", "C"], ["D", "E", "D"], ["C", "A"],
+                                   ["B", "D"]], catalog)
+    return catalog, space, mapping, sessions
+
+
+@pytest.mark.parametrize("pool", ["market", "global"])
+def test_one_split_builds_its_events_once_for_every_evaluation(monkeypatch, pool):
+    catalog, space, mapping, sessions = _small_mapped_world()
+    built = []
+
+    class CountedEvents(Events):
+        def __init__(self, *args):
+            built.append(self)
+            super().__init__(*args)
+
+    monkeypatch.setattr(evaluate_module, "Events", CountedEvents)
+
+    def reports(split):
+        return [(r.rows, r.metadata) for r in (
+            evaluate(split, space, catalog, ks=(1, 3), pool=pool),
+            cross_brand_evaluate(split, space, mapping, catalog, ks=(1, 3), pool=pool))]
+
+    shared = reports(sessions)
+    assert len(built) == 1
+    fresh = SessionSet(sessions.brand, list(sessions.sessions))
+    assert reports(fresh) == shared and len(built) == 2
+
+
+@pytest.mark.parametrize("pool", ["market", "global"])
+def test_ranking_looks_each_candidate_up_at_most_once(pool):
+    # events in two of three markets: the market pool resolves only their rows
+    catalog, vectors, events = _ranker_world(7, 3, 40, 4, 300, 0, 0.1, 0.0)
+    events = Events(catalog, events.clicks, events.at[events.market < 2])
+    calls = Counter()
+
+    def lookup(h):
+        calls[h] += 1
+        return vectors.get(h)
+
+    args = (events, catalog, vectors.get, 4, "cosine")
+    expected = _event_ranks(*args, skip_missing_query=True, pool=pool)
+    got = _event_ranks(events, catalog, lookup, 4, "cosine", skip_missing_query=True,
+                       pool=pool)
+    assert ranks_as_list(got) == ranks_as_list(expected)
+    assert set(calls.values()) == {1}
+    ranked = (catalog.id_order if pool == "global"
+              else np.concatenate(catalog.members[:2]))
+    assert sorted(calls) == sorted(catalog.hotel_ids[r] for r in ranked)
+    space = make_space("B", vectors, 4)
+    for ev in (events[i] for i in range(0, len(events), 37)):
+        if ev.query in vectors:
+            calls.clear()
+            rank_candidates(ev, space, catalog, pool=pool, lookup=lookup)
+            size = len(catalog) if pool == "global" else len(catalog.members[0])
+            assert sum(calls.values()) <= size and set(calls.values()) == {1}
 
 
 def test_a_truth_outside_the_catalog_is_kept_and_ranks_outside_the_pool():
@@ -271,6 +369,24 @@ def test_report_rows_keep_the_bits_of_the_per_rank_sums():
                     "hits": sum(1 for r in expected if r <= k) / n,
                     "mrr": math.fsum(1.0 / r if r <= k else 0.0 for r in expected) / n,
                     "n_events": n}
+
+
+@pytest.mark.parametrize("pool", ["market", "global"])
+def test_a_k_past_int64_or_past_every_float_reads_the_exact_ranks(pool):
+    # k >= 2**63 - 1 overflowed the int64 rank cap, and a k past the largest
+    # float the comparison with the ranks; any k past the pool reads them all
+    catalog, space, mapping, sessions = _small_mapped_world()
+    for run in (lambda ks: evaluate(sessions, space, catalog, ks=ks, pool=pool),
+                lambda ks: cross_brand_evaluate(sessions, space, mapping, catalog,
+                                                ks=ks, pool=pool)):
+        deep = run((len(catalog),))
+        for k in (2 ** 63 - 1, 10 ** 20, 10 ** 400):
+            rep = run((k,))
+            assert list(rep.rows.values()) == list(deep.rows.values())
+            assert rep.metadata == deep.metadata
+    for k in (10 ** 20, 10 ** 400):
+        assert hits_at_k([1, 4, math.inf], k) == 2 / 3
+        assert mrr_at_k([1, 4, math.inf], k) == 1.25 / 3
 
 
 def test_metrics_reject_empty_or_bad_k():
@@ -646,7 +762,7 @@ def test_orders_are_the_stable_argsort_of_the_scores(seed, n, blocks, mode, data
     n_queries = max(1, round(blocks * (_BLOCK_CELLS // n)))
     queries, truths = rng.choice(cols, size=n_queries), rng.integers(n, size=n_queries)
     with np.errstate(all="ignore"):
-        cache = _MarketCache(catalog, 0, vectors.get, 2)
+        cache = _MarketCache.resolve(catalog, catalog.members[0], vectors.get, 2)
         scored = cols[np.argsort(-_scores(cache, queries, mode)[:, cols], axis=1,
                                  kind="stable")]
         # candidates without an embedding follow, by position
@@ -674,8 +790,8 @@ def test_cosine_scores_are_dot_products_of_unit_rows_whatever_the_block():
         for scale in (1e-200, 1e-3, 1.0, 1e4, 1e150):
             vectors = {h: rng.normal(size=dim) * scale * (rng.random() > 0.1)
                        for h in catalog.hotel_ids if rng.random() > 0.1}
-            cache = _MarketCache(catalog, 0, vectors.get, dim)
-            for h, unit in zip(cache.ids, cache.unit):
+            cache = _MarketCache.resolve(catalog, catalog.members[0], vectors.get, dim)
+            for h, unit in zip([catalog.hotel_ids[r] for r in cache.rows], cache.unit):
                 v = vectors.get(h, np.zeros(dim))
                 norm = np.sqrt(np.sum(v * v))
                 expected = v / norm if norm > 0 else np.zeros(dim)
@@ -685,6 +801,24 @@ def test_cosine_scores_are_dot_products_of_unit_rows_whatever_the_block():
             for q, row in zip(queries, block):
                 assert row.tobytes() == _scores(cache, [q], "cosine")[0].tobytes()
                 assert row.tobytes() == (cache.unit @ cache.unit[q]).tobytes()
+
+
+def test_a_table_gathered_from_a_larger_one_keeps_the_bits_of_its_own():
+    # _event_ranks resolves every ranked row once and gathers each pool's
+    # rows from that table: a row's norm, so its unit row, ignores the rest
+    rng = np.random.default_rng(3)
+    catalog = make_catalog({f"m{i}": [f"m{i}h{j:02d}" for j in range(50)]
+                            for i in range(3)})
+    for dim in (1, 3, 32, 33):
+        vectors = {h: rng.normal(size=dim) * 10.0 ** rng.integers(-150, 150)
+                   * (rng.random() > 0.1) for h in catalog.hotel_ids if rng.random() > 0.1}
+        table = _MarketCache.resolve(catalog, rng.permutation(len(catalog)),
+                                     vectors.get, dim)
+        at = np.argsort(table.rows)  # catalog row -> table position
+        for rows in (*catalog.members, catalog.id_order):
+            own = _MarketCache.resolve(catalog, rows, vectors.get, dim)
+            gathered = _MarketCache(*(a[at[rows]] for a in table))
+            assert [a.tobytes() for a in gathered] == [a.tobytes() for a in own]
 
 
 # ---------------------------------------------------------------------------
