@@ -88,31 +88,32 @@ class EmbeddingSpace:
         self.vectors = MappingProxyType(dict(zip(self.ids, matrix)))
 
 
-def _block_dots(a: np.ndarray, b: np.ndarray, out: np.ndarray):
-    """out[i, j] = a[i, block j] . b[i, block j] over the three sub-embedding
-    blocks of each row, one einsum over (k, 3, sub_dim) views."""
+def _block_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The k x 3 array of a[i, block j] . b[i, block j] over the three
+    sub-embedding blocks of each row, one einsum over (k, 3, sub_dim) views."""
     shape = (len(a), 3, -1)
-    np.einsum("ijk,ijk->ij", a.reshape(shape), b.reshape(shape), out=out)
+    return np.einsum("ijk,ijk->ij", a.reshape(shape), b.reshape(shape))
 
 
-def _forward(p: ModelParams, w_c: np.ndarray, a_in: np.ndarray, g_in: np.ndarray,
-             y: np.ndarray, sq: np.ndarray) -> tuple:
+def _forward(p: ModelParams, w_c: np.ndarray, a_in: np.ndarray,
+             g_in: np.ndarray) -> tuple:
     """relu([V_c, V_a, V_g] @ W_e) of k hotels from their W_c, amenity and geo
     rows: V_* = relu(y_* / ||y_*||), or zero where ||y_*|| is (near) zero.
-    Fills y with [y_c, y_a, y_g] and sq with their squared norms, and returns
-    (inv, yhat, u, z): 1 / ||y_*|| repeated over each block, y * inv,
-    relu(yhat) and z = u @ W_e, whose relu is the embedding."""
+    Returns (y, sq, inv, yhat, u, z): y = [y_c, y_a, y_g], their squared
+    norms, 1 / ||y_*|| repeated over each block, y * inv, relu(yhat) and
+    z = u @ W_e, whose relu is the embedding."""
     w = w_c.shape[1]
+    y = np.empty((len(w_c), 3 * w))
     y[:, :w] = w_c
     np.matmul(a_in, p.w_a, out=y[:, w:2 * w])
     np.matmul(g_in, p.w_g, out=y[:, 2 * w:])
-    _block_dots(y, y, sq)
+    sq = _block_dots(y, y)
     norms = np.sqrt(sq)
     inv = np.divide(1.0, norms, out=np.zeros(norms.shape),
                     where=norms >= EPS_NORM).repeat(w, axis=1)
     yhat = y * inv
     u = np.maximum(yhat, 0.0)
-    return inv, yhat, u, u @ p.w_e
+    return y, sq, inv, yhat, u, u @ p.w_e
 
 
 def _softplus(x: float) -> float:
@@ -146,7 +147,8 @@ class StepContext:
 
     W_a, W_g and W_e of params are re-seated as views of one flat buffer,
     self.flat, so that weight decay, the L2 term and the dense update are
-    one op each.
+    one op each. Their gradient is self.grad, which every step overwrites
+    through self.grad_views; the step allocates its other arrays itself.
     """
 
     def __init__(self, params: ModelParams, catalog: HotelCatalog,
@@ -163,7 +165,6 @@ class StepContext:
         self.a_dim = catalog.amenity_dim
         w = cfg.sub_dim
         self.blocks = [slice(j * w, (j + 1) * w) for j in range(3)]
-        self.scratch = {}  # k -> buffers of a step over k distinct hotels
         # catalog row -> its source-brand vector or None, when lam > 0;
         # mapping=None maps each hotel to itself
         self.sources = []
@@ -175,13 +176,6 @@ class StepContext:
                     f"hotel {target_id!r} is mapped but source space has no vector "
                     f"for {src_id!r}")
             self.sources.append(None if row is None else source_space.matrix[row])
-
-    def buffers(self, k: int) -> tuple:
-        """y, sq, proj and dv of a step over k distinct hotels, reused."""
-        if k not in self.scratch:
-            self.scratch[k] = (np.empty((k, 3 * self.cfg.sub_dim)), np.empty((k, 3)),
-                               np.empty((k, 3)), np.empty((k, self.cfg.d)))
-        return self.scratch[k]
 
     def views(self, flat: np.ndarray) -> list[np.ndarray]:
         """W_a, W_g and W_e shaped views of a flat buffer."""
@@ -204,17 +198,16 @@ def gradients(ctx: StepContext, hotels: tuple[int, ...]):
     else:
         t, c, *neg = [rows.index(h) for h in hotels]
     idx = np.array(rows)
-    y, sq, proj, dv = ctx.buffers(len(rows))
     x = ctx.features.take(idx, axis=0)
     a_in, g_in = x[:, :ctx.a_dim], x[:, ctx.a_dim:]
-    inv, yhat, u, z = _forward(p, p.w_c.take(idx, axis=0), a_in, g_in, y, sq)
+    y, sq, inv, yhat, u, z = _forward(p, p.w_c.take(idx, axis=0), a_in, g_in)
     v = np.maximum(z, 0.0)
 
     v_t = v[t]
     s_pos = float(v_t @ v[c])
     loss = _softplus(-s_pos)
     g_pos = -_sigmoid(-s_pos)
-    dv.fill(0.0)
+    dv = np.zeros(v.shape)
     dv_t = dv[t]
     dv_t += g_pos * v[c]
     dv[c] += g_pos * v_t
@@ -243,7 +236,7 @@ def gradients(ctx: StepContext, hotels: tuple[int, ...]):
     grad, (dw_a, dw_g, dw_e) = ctx.grad, ctx.grad_views
     np.matmul(u.T, dz, out=dw_e)
     masked = np.where(yhat > 0, dz @ p.w_e.T, 0.0)
-    _block_dots(yhat, masked, proj)
+    proj = _block_dots(yhat, masked)
     dy = (masked - yhat * proj.repeat(cfg.sub_dim, axis=1)) * inv
     np.matmul(a_in.T, dy[:, ba], out=dw_a)
     np.matmul(g_in.T, dy[:, bg], out=dw_g)
@@ -373,10 +366,8 @@ def export_embeddings(params: ModelParams, catalog: HotelCatalog,
                       brand: str = "unknown") -> EmbeddingSpace:
     """Materialize the enriched embedding of every catalog hotel: the training
     step's forward pass over all catalog rows at once."""
-    n, width = params.w_c.shape
     x, a_dim = catalog.features, catalog.amenity_dim
-    z = _forward(params, params.w_c, x[:, :a_dim], x[:, a_dim:],
-                 np.empty((n, 3 * width)), np.empty((n, 3)))[3]
+    z = _forward(params, params.w_c, x[:, :a_dim], x[:, a_dim:])[5]
     return EmbeddingSpace(brand, catalog.hotel_ids, np.maximum(z, 0.0, out=z))
 
 
