@@ -107,6 +107,8 @@ def cmd_train(args) -> int:
             raise DataError(f"{args.source_embeddings}:1: source embedding dim "
                             f"{source_space.dim} != --dim {cfg.d}")
         mapping = load_mapping(args.mapping, target_catalog=catalog)
+        if not mapping:
+            raise DataError(f"{args.mapping}: mapping holds no hotel pair to regularize")
 
     curve_rows = []
     curve_sink = None

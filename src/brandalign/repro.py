@@ -77,8 +77,11 @@ class ReproResult:
 def _curve_sink(test_sessions, catalog, seed, rows):
     """A model.train curve_sink that appends a {"step", "hits@10", "hits@100"}
     row to rows per checkpoint, ranking by cosine a seeded sample of at most
-    CURVE_EVENT_CAP of test_sessions' events."""
+    CURVE_EVENT_CAP of test_sessions' events. Raises ValueError when there is
+    no event to rank."""
     events = make_events(test_sessions, catalog)
+    if not len(events):
+        raise ValueError("the test split has no prediction events for the curve")
     if len(events) > CURVE_EVENT_CAP:
         idx = substream(seed, "curve-events").choice(len(events), size=CURVE_EVENT_CAP,
                                                      replace=False)

@@ -290,6 +290,24 @@ def test_train_lambda_mapping_target_outside_the_catalog_names_the_line(
     assert not out.exists()
 
 
+def test_train_lambda_with_an_empty_mapping_fails_before_training(
+        world_dir, trained, tmp_path, capsys):
+    # with no pair the regularizer does nothing: the run once trained the
+    # plain model and exited 0
+    a_emb, _ = trained
+    mapping = tmp_path / "empty.tsv"
+    mapping.write_text("")
+    out = tmp_path / "B_da.emb"
+    rc = main(["train", "--catalog", str(world_dir / "catalog.jsonl"),
+               "--sessions", str(world_dir / "sessions_B.jsonl"),
+               "--brand", "B", "--out", str(out), "--lambda", "1",
+               "--source-embeddings", a_emb, "--mapping", str(mapping)] + TRAIN_SMALL)
+    assert rc == 1
+    assert capsys.readouterr().err == (f"error: {mapping}: mapping holds no hotel "
+                                       f"pair to regularize\n")
+    assert not out.exists()
+
+
 def test_train_bad_ratios_is_usage_error(world_dir, tmp_path, capsys):
     # a:b:c, nan:1:1, -1:1:1 and 0:0:0 used to exit 1 with a message that
     # named no flag
@@ -369,6 +387,23 @@ def test_train_curve_file(world_dir, tmp_path):
     assert rc == 0
     rows = [json.loads(line) for line in curve.read_text().splitlines()]
     assert rows and all({"step", "hits@10", "hits@100"} <= set(r) for r in rows)
+
+
+@pytest.mark.parametrize("eval_every", ["50", "100000"])
+def test_train_curve_file_with_an_empty_test_split_fails_before_training(
+        world_dir, tmp_path, capsys, eval_every):
+    # the run once trained up to its first checkpoint and failed there, or,
+    # with no checkpoint in the stream, exited 0 with an empty curve file
+    out, curve = tmp_path / "x.emb", tmp_path / "curve.jsonl"
+    rc = main(["train", "--catalog", str(world_dir / "catalog.jsonl"),
+               "--sessions", str(world_dir / "sessions_A.jsonl"),
+               "--brand", "A", "--out", str(out), "--ratios", "1:0:0",
+               "--eval-every", eval_every, "--curve-file", str(curve)]
+              + TRAIN_SMALL)
+    assert rc == 1
+    assert capsys.readouterr().err == ("error: the test split has no prediction "
+                                       "events for the curve\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_train_prints_the_last_epoch_loss_and_writes_the_repro_curve(
