@@ -116,22 +116,6 @@ def _forward(p: ModelParams, w_c: np.ndarray, a_in: np.ndarray,
     return y, sq, inv, yhat, u, u @ p.w_e
 
 
-def _softplus(x: float) -> float:
-    """ln(1 + e^x), by the same steps as np.logaddexp(0, x)."""
-    if x > 0:
-        return x + math.log1p(math.exp(-x))
-    if x < 0:
-        return math.log1p(math.exp(x))
-    return x + math.log(2.0)  # 0 or nan
-
-
-def _sigmoid(x: float) -> float:
-    if x >= 0:
-        return 1.0 / (1.0 + math.exp(-x))
-    e = math.exp(x)
-    return e / (1.0 + e)
-
-
 def _expit(x: float) -> float:
     """1 / (1 + e^-x), with the bits of scipy.special.expit; 0.0 where e^-x
     overflows."""
@@ -205,8 +189,10 @@ def gradients(ctx: StepContext, hotels: tuple[int, ...]):
 
     v_t = v[t]
     s_pos = float(v_t @ v[c])
-    loss = _softplus(-s_pos)
-    g_pos = -_sigmoid(-s_pos)
+    # v is a relu, so s_pos >= 0 or nan: there log1p(e) is np.logaddexp(0, -s_pos)
+    e = math.exp(-s_pos)
+    loss = math.log1p(e)
+    g_pos = -e / (1.0 + e)
     dv = np.zeros(v.shape)
     dv_t = dv[t]
     dv_t += g_pos * v[c]
