@@ -83,6 +83,14 @@ def cmd_gen(args) -> int:
     return 0
 
 
+def _load_mapping(path, purpose: str, catalog=None):
+    """The mapping at path, refused when it holds no pair to put to purpose."""
+    mapping = load_mapping(path, target_catalog=catalog)
+    if not mapping:
+        raise DataError(f"{path}: mapping holds no hotel pair to {purpose}")
+    return mapping
+
+
 def _load_split(args, catalog, ratios):
     sessions = load_sessions(args.sessions, catalog, args.brand)
     if args.split == "none":
@@ -106,9 +114,7 @@ def cmd_train(args) -> int:
         if source_space.dim != cfg.d:
             raise DataError(f"{args.source_embeddings}:1: source embedding dim "
                             f"{source_space.dim} != --dim {cfg.d}")
-        mapping = load_mapping(args.mapping, target_catalog=catalog)
-        if not mapping:
-            raise DataError(f"{args.mapping}: mapping holds no hotel pair to regularize")
+        mapping = _load_mapping(args.mapping, "regularize", catalog)
 
     curve_rows = []
     curve_sink = None
@@ -128,7 +134,7 @@ def cmd_train(args) -> int:
 def cmd_align(args) -> int:
     source = model.read_embeddings(args.source_emb)
     target = model.read_embeddings(args.target_emb)
-    mapping = load_mapping(args.mapping)
+    mapping = _load_mapping(args.mapping, "align")
     s_mat, t_mat, ids, excluded = align_mod.common_rows(source, target, mapping)
     if args.method == "lp":
         proj = align_mod.fit_linear_projection(s_mat, t_mat)
@@ -165,7 +171,7 @@ def cmd_eval(args) -> int:
     metadata = {"embeddings": args.embeddings, "mode": args.mode,
                 "pool": args.pool, "seed": args.seed, "split": args.split}
     if args.cross_brand:
-        mapping = load_mapping(args.mapping, target_catalog=catalog)
+        mapping = _load_mapping(args.mapping, "evaluate across brands", catalog)
         report = cross_brand_evaluate(
             sessions, space, mapping, catalog, mode=args.mode, ks=ks,
             metadata=metadata, pool=args.pool)

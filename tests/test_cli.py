@@ -472,6 +472,20 @@ def test_align_repeated_mapping_target_names_the_line(world_dir, trained,
                    f"target {target!r} repeated from line 1")
 
 
+def test_align_empty_mapping_names_the_file(world_dir, trained, tmp_path, capsys):
+    # the error once read "empty mapping: no common rows", naming no file
+    a_emb, b_emb = trained
+    mapping = tmp_path / "empty.tsv"
+    mapping.write_text("")
+    out = tmp_path / "w.proj"
+    rc = main(["align", "--source-emb", a_emb, "--target-emb", b_emb,
+               "--mapping", str(mapping), "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == (f"error: {mapping}: mapping holds no hotel "
+                                       f"pair to align\n")
+    assert not out.exists()
+
+
 def test_align_missing_file_is_runtime_error(world_dir, tmp_path):
     rc = main(["align", "--source-emb", str(tmp_path / "no.emb"),
                "--target-emb", str(tmp_path / "no.emb"),
@@ -539,6 +553,22 @@ def test_eval_cross_brand_mapping_target_outside_the_catalog_names_the_line(
     assert rc == 1
     assert capsys.readouterr().err == (f"error: {mapping}:1: unknown target hotel "
                                        f"'X00000'\n")
+    assert not out.exists()
+
+
+def test_eval_cross_brand_empty_mapping_names_the_file(world_dir, trained, tmp_path,
+                                                       capsys):
+    # the error once read "no evaluable events: every query was unmapped",
+    # naming no file
+    a_emb, _ = trained
+    mapping = tmp_path / "empty.tsv"
+    mapping.write_text("")
+    out = tmp_path / "cross.jsonl"
+    rc = main(eval_args(world_dir, a_emb, "B", out, "--cross-brand",
+                        "--mapping", str(mapping)))
+    assert rc == 1
+    assert capsys.readouterr().err == (f"error: {mapping}: mapping holds no hotel "
+                                       f"pair to evaluate across brands\n")
     assert not out.exists()
 
 

@@ -169,6 +169,22 @@ def test_sgns_loss_saturated_positive():
     assert got == pytest.approx(2 * math.log(2), abs=1e-12)
 
 
+def test_sgns_loss_is_logaddexp_bit_for_bit_at_the_positive_edges():
+    # s_pos = 0 (zero rows, the collapse mode), an ordinary s_pos, and one
+    # past 745, where exp(-s_pos) underflows to 0
+    scores = []
+    for rows, scale in (([[0, 0], [0, 0], [1, 0]], 1.0),
+                        ([[1, 0], [1, 0], [0, 1]], 1.5),
+                        ([[1, 0], [1, 0], [0, 1]], 30.0)):
+        params, catalog, cfg, hotels = _hand_instance(rows, scale)
+        v = export_embeddings(params, catalog).matrix
+        s_pos, s_neg = float(v[0] @ v[1]), float(v[2] @ v[0])
+        want = float(np.logaddexp(0.0, -s_pos)) + float(np.logaddexp(0.0, s_neg))
+        assert _loss(params, catalog, cfg, hotels) == want, (rows, scale)
+        scores.append(s_pos)
+    assert scores[0] == 0.0 < scores[1] < 745.0 < scores[2]
+
+
 def test_sgns_loss_monotone_in_scores():
     # the negative's W_c row is zero, so only the positive dot s^2 moves
     losses = [_loss(*_hand_instance([[0.6, 0.8], [0.6, 0.8], [0, 0]], scale=s))
