@@ -116,15 +116,6 @@ def _forward(p: ModelParams, w_c: np.ndarray, a_in: np.ndarray,
     return y, sq, inv, yhat, u, u @ p.w_e
 
 
-def _expit(x: float) -> float:
-    """1 / (1 + e^-x), with the bits of scipy.special.expit; 0.0 where e^-x
-    overflows."""
-    try:
-        return 1.0 / (1.0 + math.exp(-x))
-    except OverflowError:
-        return 0.0
-
-
 class StepContext:
     """What the per-pair step reads besides the hotels: the parameters, the
     feature matrices, the config and the frozen source space's vectors.
@@ -189,7 +180,8 @@ def gradients(ctx: StepContext, hotels: tuple[int, ...]):
 
     v_t = v[t]
     s_pos = float(v_t @ v[c])
-    # v is a relu, so s_pos >= 0 or nan: there log1p(e) is np.logaddexp(0, -s_pos)
+    # v is a relu, so every score s is >= 0 or nan: from e = exp(-s) <= 1, log1p(e)
+    # is softplus(-s), s + log1p(e) softplus(s) and 1 / (1 + e) sigmoid(s) to the bit
     e = math.exp(-s_pos)
     loss = math.log1p(e)
     g_pos = -e / (1.0 + e)
@@ -198,9 +190,9 @@ def gradients(ctx: StepContext, hotels: tuple[int, ...]):
     dv_t += g_pos * v[c]
     dv[c] += g_pos * v_t
     v_neg = v[neg]
-    s_neg = v_neg @ v_t
-    loss += float(np.add.reduce(np.logaddexp(0.0, s_neg)))
-    g_neg = np.array([_expit(s) for s in s_neg.tolist()])
+    scores = [(s, math.exp(-s)) for s in (v_neg @ v_t).tolist()]
+    loss += sum([s + math.log1p(e) for s, e in scores])
+    g_neg = np.array([1.0 / (1.0 + e) for _, e in scores])
     dv_t += g_neg @ v_neg
     if type(neg) is slice:
         dv[neg] += g_neg[:, None] * v_t

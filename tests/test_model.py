@@ -169,20 +169,25 @@ def test_sgns_loss_saturated_positive():
     assert got == pytest.approx(2 * math.log(2), abs=1e-12)
 
 
-def test_sgns_loss_is_logaddexp_bit_for_bit_at_the_positive_edges():
-    # s_pos = 0 (zero rows, the collapse mode), an ordinary s_pos, and one
-    # past 745, where exp(-s_pos) underflows to 0
+def test_sgns_loss_is_logaddexp_bit_for_bit_at_the_edges():
+    # every score is >= 0; the positive's and the negative's each take s = 0
+    # (zero rows, the collapse mode), an ordinary s, and one past 745, where
+    # exp(-s) underflows to 0
     scores = []
     for rows, scale in (([[0, 0], [0, 0], [1, 0]], 1.0),
                         ([[1, 0], [1, 0], [0, 1]], 1.5),
-                        ([[1, 0], [1, 0], [0, 1]], 30.0)):
+                        ([[1, 0], [1, 0], [0, 1]], 30.0),
+                        ([[1, 0], [0.6, 0.8], [1, 0]], 1.5),
+                        ([[1, 0], [0.6, 0.8], [1, 0]], 30.0)):
         params, catalog, cfg, hotels = _hand_instance(rows, scale)
         v = export_embeddings(params, catalog).matrix
         s_pos, s_neg = float(v[0] @ v[1]), float(v[2] @ v[0])
         want = float(np.logaddexp(0.0, -s_pos)) + float(np.logaddexp(0.0, s_neg))
         assert _loss(params, catalog, cfg, hotels) == want, (rows, scale)
-        scores.append(s_pos)
-    assert scores[0] == 0.0 < scores[1] < 745.0 < scores[2]
+        scores.append((s_pos, s_neg))
+    s_pos, s_neg = zip(*scores)
+    assert s_pos[0] == 0.0 < s_pos[1] < 745.0 < s_pos[2]
+    assert s_neg[0] == s_neg[1] == s_neg[2] == 0.0 < s_neg[3] < 745.0 < s_neg[4]
 
 
 def test_sgns_loss_monotone_in_scores():
@@ -319,19 +324,6 @@ def test_gradients_regularizer_skipped_for_unmapped_hotel():
     loss_plain, _, _, grad_plain = gradients(plain, _hotels(pair, catalog))
     assert loss_reg == loss_plain
     assert np.array_equal(grad_reg, grad_plain)
-
-
-def test_expit_matches_scipy_bit_for_bit():
-    # g_neg used scipy.special.expit; the overflow band near -709 included
-    from scipy.special import expit
-
-    from brandalign.model import _expit
-    rng = np.random.default_rng(0)
-    xs = np.concatenate([rng.normal(0, 10, 20_000), np.linspace(-746, -700, 4_601),
-                         np.linspace(-40, 40, 8_001),
-                         [0.0, -0.0, 710.0, 1e308, -1e308, np.inf, -np.inf]])
-    got = np.array([_expit(x) for x in xs.tolist()])
-    assert np.array_equal(got, expit(xs))
 
 
 # ---------------------------------------------------------------------------
