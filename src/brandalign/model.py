@@ -282,6 +282,7 @@ class _AdamState:
         w_c[idx], self.m_c[idx], self.v_c[idx] = w, m, v
 
 
+@np.errstate(over="ignore", invalid="ignore")  # the loss check reports a divergence
 def train(train_sessions: SessionSet, catalog: HotelCatalog, cfg: TrainConfig,
           source_space: EmbeddingSpace | None = None,
           mapping: BrandMapping | None = None,

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -374,6 +375,23 @@ def test_non_finite_float_settings_are_usage_errors(world_dir, tmp_path, capsys)
             assert main(argv) == 2, argv
             err = capsys.readouterr().err
             assert err.startswith("usage error: ") and err.count("\n") == 1, argv
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_diverging_train_is_one_error_line_without_numpy_warnings(world_dir,
+                                                                 tmp_path, capsys):
+    # numpy's overflow warnings once went to stderr ahead of the error line;
+    # pytest records warnings instead of printing them, so record them here
+    train = ["train", "--catalog", str(world_dir / "catalog.jsonl"),
+             "--sessions", str(world_dir / "sessions_A.jsonl"),
+             "--brand", "A", "--out", str(tmp_path / "x.emb")] + TRAIN_SMALL
+    for flag in ("--lr", "--l2"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(train + [flag, "1e300"]) == 1, flag
+        assert [str(w.message) for w in caught] == [], flag
+        err = capsys.readouterr().err
+        assert err.startswith("error: non-finite loss ") and err.count("\n") == 1, flag
     assert list(tmp_path.iterdir()) == []
 
 
