@@ -98,9 +98,15 @@ def generate_world(cfg: WorldConfig) -> World:
     # the brands agree exactly and at large values they decorrelate
     pop_rng = substream(cfg.seed, "popularity")
     base = pop_rng.normal(size=n_total)
-    brand_popularity = {
-        brand: np.exp(base + cfg.brand_bias_strength * pop_rng.normal(size=n_total))
-        for brand in cfg.brands}
+    with np.errstate(over="ignore"):
+        brand_popularity = {
+            brand: np.exp(base + cfg.brand_bias_strength * pop_rng.normal(size=n_total))
+            for brand in cfg.brands}
+        for brand, pop in brand_popularity.items():  # _walk sums them x kernel < e^5
+            sums = np.bincount(catalog.market_codes, pop) * np.exp(KERNEL_SHARPNESS + 1)
+            if not 0 < sums.min() <= sums.max() < np.inf:
+                raise ValueError(f"brand_bias_strength {cfg.brand_bias_strength} puts "
+                                 f"the click weights of brand {brand!r} past float range")
 
     n_mapped = int(cfg.overlap_fraction * n_total)
     mapping = BrandMapping({hid: hid for hid in catalog.hotel_ids[:n_mapped]})

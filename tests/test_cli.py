@@ -395,6 +395,20 @@ def test_diverging_train_is_one_error_line_without_numpy_warnings(world_dir,
     assert list(tmp_path.iterdir()) == []
 
 
+def test_gen_bias_past_float_range_is_one_error_line(tmp_path, capsys):
+    # gen --bias 1000 once exited 0 with NaN click CDFs: brand A's sessions
+    # clicked 4 of 20 hotels
+    argv = gen_args(tmp_path / "world", **{"--markets": "2", "--hotels-per-market": "10",
+                                           "--seed": "1", "--bias": "1000"})
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv) == 1
+    assert [str(w.message) for w in caught] == []
+    assert capsys.readouterr().err == ("error: brand_bias_strength 1000.0 puts the click "
+                                       "weights of brand 'A' past float range\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_train_curve_file(world_dir, tmp_path):
     curve = tmp_path / "curve.jsonl"
     rc = main(["train", "--catalog", str(world_dir / "catalog.jsonl"),

@@ -90,6 +90,22 @@ def test_popularity_positive():
                for brand in ("A", "B") for hid in world.catalog.hotel_ids)
 
 
+def test_click_weights_past_float_range_are_a_value_error():
+    # bias 1000 once gave weights of inf and click CDFs of NaN; at 423.5 the
+    # weights are finite, but times _walk's kernel they overflow; at 1200 the
+    # lone hotel of seed 2 draws a brand-A weight of 0, and its market's start
+    # CDF was 0/0
+    smoke = dict(n_markets=2, hotels_per_market=10, seed=1)
+    for kw, brand in ((dict(smoke, brand_bias_strength=1000.0), "A"),
+                      (dict(smoke, brand_bias_strength=423.5), "B"),
+                      (dict(n_markets=1, hotels_per_market=1, seed=2,
+                            brand_bias_strength=1200.0), "A")):
+        with pytest.raises(ValueError, match=f"^brand_bias_strength .* '{brand}' "):
+            generate_world(tiny_cfg(**kw))
+    world = generate_world(tiny_cfg(**smoke, brand_bias_strength=400.0))
+    assert all(np.isfinite(p).all() for p in world.brand_popularity.values())
+
+
 def test_zero_bias_gives_identical_brand_popularity():
     world = generate_world(tiny_cfg(brand_bias_strength=0.0))
     for hid in world.catalog.hotel_ids:
