@@ -12,7 +12,7 @@ import warnings
 from . import align as align_mod
 from . import model, repro, synth
 from .evaluate import (cross_brand_evaluate, evaluate as evaluate_sessions,
-                       write_metrics)
+                       write_jsonl, write_metrics)
 from .data import (DataError, load_catalog, load_mapping, load_sessions,
                    split_sessions, split_sizes)
 
@@ -125,7 +125,7 @@ def cmd_train(args) -> int:
     space = model.export_embeddings(params, catalog, brand=args.brand)
     model.write_embeddings(space, args.out)
     if args.curve_file:
-        repro.write_jsonl(curve_rows, args.curve_file)
+        write_jsonl(curve_rows, args.curve_file)
     print(f"final train loss (mean per pair, last epoch): {params.epoch_losses[-1]:.6f}")
     print(f"wrote {len(space.ids)} embeddings (dim {space.dim}) to {args.out}")
     return 0

@@ -333,15 +333,17 @@ def cross_brand_evaluate(test_sessions: SessionSet, source_space: EmbeddingSpace
     return _build_report(ranks, ks, mode, "cross_brand", meta)
 
 
-def write_metrics(report: MetricsReport, path):
+def write_jsonl(rows, path):
+    """One sorted-key JSON object per line: report.jsonl, curves and metrics."""
     with open(path, "w", encoding="utf-8") as fh:
-        for (k, mode, setting) in sorted(report.rows, key=lambda t: (t[2], t[1], t[0])):
-            cell = report.rows[(k, mode, setting)]
-            fh.write(json.dumps({
-                "setting": setting, "mode": mode, "k": k,
-                "hits": cell["hits"], "mrr": cell["mrr"],
-                "n_events": cell["n_events"],
-            }, sort_keys=True) + "\n")
-        if report.metadata:
-            fh.write(json.dumps({"metadata": report.metadata},
-                                sort_keys=True, default=str) + "\n")
+        for row in rows:
+            fh.write(json.dumps(row, sort_keys=True, default=str) + "\n")
+
+
+def write_metrics(report: MetricsReport, path):
+    """One row per cell in (setting, mode, k) order, then any metadata."""
+    rows = [{"setting": setting, "mode": mode, "k": k, **report.rows[k, mode, setting]}
+            for k, mode, setting in sorted(report.rows, key=lambda key: key[::-1])]
+    if report.metadata:
+        rows.append({"metadata": report.metadata})
+    write_jsonl(rows, path)

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import align, model, synth
 from .evaluate import (Events, _event_ranks, cross_brand_evaluate, evaluate,
-                       hits_at_k, make_events)
+                       hits_at_k, make_events, write_jsonl)
 from .data import BrandMapping, SessionSet, split_sessions
 from .rng import substream
 
@@ -96,13 +96,6 @@ def _curve_sink(test_sessions, catalog, seed, rows):
             "hits@100": hits_at_k(ranks, 100),
         })
     return sink
-
-
-def write_jsonl(rows, path):
-    """One sorted-key JSON object per line, as report.jsonl and curves use."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for row in rows:
-            fh.write(json.dumps(row, sort_keys=True) + "\n")
 
 
 def _mean_mapped_distance(target_space, source_space, mapping):

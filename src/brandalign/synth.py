@@ -247,9 +247,6 @@ def write_mapping(mapping: BrandMapping, path):
 
 
 def write_world_meta(cfg: WorldConfig, path):
-    meta = asdict(cfg)
-    meta["session_length"] = list(cfg.session_length)
-    meta["brands"] = list(cfg.brands)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
+        json.dump(asdict(cfg), fh, indent=2, sort_keys=True)
         fh.write("\n")

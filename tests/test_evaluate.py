@@ -828,11 +828,13 @@ def test_write_metrics_one_json_object_per_cell(tmp_path):
     rep = MetricsReport(rows={
         (10, "cosine", "in_brand"): {"hits": 0.5, "mrr": 0.25, "n_events": 4},
         (100, "cosine", "in_brand"): {"hits": 0.75, "mrr": 0.3, "n_events": 4},
-    }, metadata={"missing_candidates": 0})
+    }, metadata={"missing_candidates": 0, "embeddings": tmp_path / "B.emb"})
     p = tmp_path / "metrics.jsonl"
     write_metrics(rep, p)
     lines = [json.loads(line) for line in p.read_text().splitlines()]
     assert lines[0] == {"setting": "in_brand", "mode": "cosine", "k": 10,
                         "hits": 0.5, "mrr": 0.25, "n_events": 4}
     assert lines[1]["k"] == 100
-    assert lines[2] == {"metadata": {"missing_candidates": 0}}
+    # a value json cannot encode, such as a path, is written as its str
+    assert lines[2] == {"metadata": {"missing_candidates": 0,
+                                     "embeddings": str(tmp_path / "B.emb")}}
