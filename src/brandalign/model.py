@@ -54,6 +54,9 @@ class TrainConfig:
         if min(self.sub_dim, self.d, self.window,
                self.n_neg, self.epochs, self.eval_every) < 1:
             raise ValueError("size fields must be positive")
+        for name in ("sub_dim", "d", "n_neg"):  # numpy array sizes and draws are int64
+            if getattr(self, name) >= 2 ** 63:
+                raise ValueError(f"{name} must be below 2**63, got {getattr(self, name)}")
         if not 0 < self.learning_rate < np.inf:
             raise ValueError("learning_rate must be positive and finite")
         if not (0 <= self.l2_weight < np.inf and 0 <= self.lam < np.inf):

@@ -7,6 +7,7 @@ has to bridge.
 """
 
 import json
+import os
 from dataclasses import dataclass, field, asdict
 from itertools import islice
 from pathlib import Path
@@ -39,12 +40,14 @@ class WorldConfig:
     brands: tuple[str, str] = ("A", "B")
 
     def validate(self):
-        if min(self.n_markets, self.hotels_per_market, self.latent_dim,
-               self.d_a_in, self.d_g_in, self.n_sessions_per_brand) < 1:
-            raise ValueError("all size fields must be positive")
         lo, hi = self.session_length
         if lo < 2 or hi < lo:
             raise ValueError("session_length must satisfy 2 <= min <= max")
+        sizes = {name: getattr(self, name) for name in ("n_markets", "hotels_per_market",
+                 "latent_dim", "d_a_in", "d_g_in", "n_sessions_per_brand")}
+        for name, value in {**sizes, "session_length": hi}.items():
+            if not 1 <= value < 2 ** 63:  # numpy takes array sizes and draw bounds as int64
+                raise ValueError(f"{name} must be positive and below 2**63, got {value}")
         if not 0 <= self.brand_bias_strength < np.inf:
             raise ValueError("brand_bias_strength must be finite and >= 0")
         if not 0.0 <= self.overlap_fraction <= 1.0:
@@ -53,6 +56,8 @@ class WorldConfig:
             raise ValueError("overlap_fraction too small: no hotel would be mapped")
         if len(set(self.brands)) < len(self.brands):
             raise ValueError(f"brand names must differ, got {list(self.brands)}")
+        if any(os.sep in brand for brand in self.brands):  # write_world's file names
+            raise ValueError(f"brand names must not hold {os.sep!r}, got {list(self.brands)}")
 
 
 @dataclass
@@ -206,15 +211,15 @@ def write_world(cfg: WorldConfig, out_dir) -> tuple[World, dict[str, SessionSet]
     """Generate cfg's world and write its files to out_dir: catalog.jsonl,
     mapping.tsv, world-meta.json and one sessions_<brand>.jsonl per brand."""
     world = generate_world(cfg)
+    # every brand's sessions first, so that a failed generation writes nothing
+    sessions = {brand: generate_sessions(world, brand, cfg) for brand in cfg.brands}
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_catalog(world.catalog, out / "catalog.jsonl")
     write_mapping(world.mapping, out / "mapping.tsv")
     write_world_meta(cfg, out / "world-meta.json")
-    sessions = {}
-    for brand in cfg.brands:
-        sessions[brand] = generate_sessions(world, brand, cfg)
-        write_sessions(sessions[brand], out / f"sessions_{brand}.jsonl")
+    for brand, session_set in sessions.items():
+        write_sessions(session_set, out / f"sessions_{brand}.jsonl")
     return world, sessions
 
 

@@ -101,12 +101,45 @@ def test_gen_rejects_equal_brand_names(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_gen_rejects_a_brand_name_holding_a_path_separator(tmp_path, capsys):
+    # before the check, gen wrote the catalog, mapping, meta and brand A's
+    # sessions, then failed to open sessions_B/C.jsonl
+    assert main(gen_args(tmp_path) + ["--brands", "A", f"B{os.sep}C"]) == 2
+    err = capsys.readouterr().err
+    assert err == f"usage error: brand names must not hold {os.sep!r}, got ['A', 'B{os.sep}C']\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_gen_max_len_past_int64_is_one_error_line(tmp_path, capsys):
-    # the length draw raises first: no buffer is sized n x max_len before it
+    # WorldConfig.validate refuses it before any file is written; it once
+    # exited 1 with numpy's "high is out of bounds for int64" after the
+    # catalog, mapping and meta were written
     rc = main(["gen", "--out-dir", str(tmp_path), "--sessions", "1",
                "--max-len", "1" + "0" * 30])
-    assert rc == 1
-    assert capsys.readouterr().err == "error: high is out of bounds for int64\n"
+    assert rc == 2
+    assert capsys.readouterr().err == ("usage error: session_length must be positive "
+                                       "and below 2**63, got 1" + "0" * 30 + "\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["gen", "--latent-dim"], "latent_dim must be positive and below 2**63"),
+    (["gen", "--sessions"], "n_sessions_per_brand must be positive and below 2**63"),
+    (["gen", "--max-len"], "session_length must be positive and below 2**63"),
+    (["train", "--catalog", "c.jsonl", "--sessions", "s.jsonl", "--brand", "A",
+      "--out", "x.emb", "--dim"], "d must be below 2**63"),
+], ids=["gen-latent-dim", "gen-sessions", "gen-max-len", "train-dim"])
+def test_size_flag_past_int64_is_a_usage_error_naming_its_field(tmp_path, capsys,
+                                                                 monkeypatch, argv, message):
+    # gen --latent-dim 10**20 once ended in a TypeError traceback, --sessions
+    # and --max-len in exit 1 after writing part of the world, and
+    # train --dim in numpy's "Maximum allowed dimension exceeded"
+    monkeypatch.chdir(tmp_path)
+    assert main(argv + [str(10 ** 20)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"usage error: {message}, got {10 ** 20}\n"
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("command, target", [("gen", (synth, "write_world")),
@@ -120,6 +153,23 @@ def test_out_of_memory_is_one_error_line(tmp_path, capsys, monkeypatch, command,
     monkeypatch.setattr(*target, exhausted)
     assert main([command, "--out-dir", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err == f"error: {command}: out of memory\n"
+
+
+def test_gen_writes_nothing_when_a_brands_sessions_run_out_of_memory(tmp_path, capsys,
+                                                                     monkeypatch):
+    # write_world once wrote the catalog, mapping, meta and brand A's
+    # sessions before it generated brand B's
+    generate_sessions = synth.generate_sessions
+
+    def exhausted_for_b(world, brand, cfg):
+        if brand == "B":
+            raise MemoryError("Unable to allocate 7.28 TiB")
+        return generate_sessions(world, brand, cfg)
+
+    monkeypatch.setattr(synth, "generate_sessions", exhausted_for_b)
+    assert main(gen_args(tmp_path / "out")) == 1
+    assert capsys.readouterr().err == "error: gen: out of memory\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 # ---------------------------------------------------------------------------

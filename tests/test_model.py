@@ -533,6 +533,19 @@ def test_train_config_validation():
         tiny_config(n_neg=0).validate()
 
 
+@pytest.mark.parametrize("field", ["sub_dim", "d", "n_neg"])
+def test_train_sizes_at_2_63_are_refused_by_name(field):
+    # numpy takes array sizes as int64; train --n-neg 10**20 once ran until killed
+    tiny_config(**{field: 2 ** 63 - 1}).validate()
+    with pytest.raises(ValueError, match=rf"^{field} must be below 2\*\*63, got {2 ** 63}$"):
+        tiny_config(**{field: 2 ** 63}).validate()
+
+
+def test_train_counts_past_int64_stay_valid():
+    # window, epochs and eval_every are Python ints only: no numpy call takes them
+    tiny_config(window=10 ** 20, epochs=10 ** 20, eval_every=10 ** 20).validate()
+
+
 # ---------------------------------------------------------------------------
 # export + file format
 

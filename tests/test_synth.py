@@ -128,6 +128,28 @@ def test_config_validation():
         generate_world(tiny_cfg(overlap_fraction=0.01))
     with pytest.raises(ValueError, match="brand names must differ"):
         generate_world(tiny_cfg(brands=("A", "A")))
+    with pytest.raises(ValueError, match="brand names must not hold"):
+        generate_world(tiny_cfg(brands=("A", "B/C")))
+
+
+@pytest.mark.parametrize("field", ["n_markets", "hotels_per_market", "latent_dim",
+                                   "d_a_in", "d_g_in", "n_sessions_per_brand",
+                                   "session_length"])
+def test_sizes_at_2_63_are_refused_by_name(field):
+    # numpy takes array sizes and draw bounds as int64; --hotels-per-market
+    # 10**20 once ran until killed, the others failed in numpy
+    def cfg(value):
+        return tiny_cfg(**{field: (2, value) if field == "session_length" else value})
+
+    cfg(2 ** 63 - 1).validate()
+    with pytest.raises(ValueError, match=rf"^{field} must be positive and below 2\*\*63, "
+                                         rf"got {2 ** 63}$"):
+        cfg(2 ** 63).validate()
+    if field == "session_length":  # its lower end cannot pass the upper one
+        with pytest.raises(ValueError, match="^session_length "):
+            tiny_cfg(session_length=(2 ** 63, 2 ** 63)).validate()
+        with pytest.raises(ValueError, match="^session_length "):
+            tiny_cfg(session_length=(2 ** 63, 5)).validate()
 
 
 # ---------------------------------------------------------------------------
