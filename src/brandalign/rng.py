@@ -1,4 +1,4 @@
-"""Labeled random substreams.
+"""Labeled random substreams, and a Generator's draws made from its raw words.
 
 All randomness in the package flows from one user-supplied 64-bit seed.
 Each consumer derives its own generator from (seed, label, ...), so adding
@@ -23,3 +23,82 @@ def substream(seed: int, *labels) -> np.random.Generator:
         else:
             entropy.append(int(label) & 0xFFFFFFFFFFFFFFFF)
     return np.random.default_rng(np.random.SeedSequence(entropy))
+
+
+_RAW_WORDS_PER_DRAW = 4096  # sets when RawWords refills, not which words come out
+
+
+class RawWords:
+    """A Generator's integers and random draws, made from blocks of its raw
+    64-bit words (bit_generator.random_raw) with numpy's results for PCG64.
+
+    integers(0, m) draws nothing for m = 1. For m <= 2**32 it takes 32-bit
+    words: a raw word's low half, then its high half, which carries over to
+    the next integers call. A word w gives w * m >> 32, unless the low 32
+    bits of w * m are below 2**32 % m and the next word is tried (Lemire,
+    arXiv:1805.10941). Past 2**32 the same rule runs on whole raw words and
+    64 bits. random() takes a whole raw word, (raw >> 11) * 2**-53, and
+    leaves a carried half where it is.
+    """
+
+    def __init__(self, rng: np.random.Generator):
+        self._raw = rng.bit_generator.random_raw
+        self._blocks = []  # every raw word drawn so far, in order
+        self._words, self._base = [], 0  # the last block: raw words _base, _base + 1, ...
+        self._pos = 0  # the next raw word
+        self._half = None  # the carried high half
+        self._taken = []  # the raw words that integers took
+
+    def integers(self, m: int) -> int:
+        """Generator.integers(0, m)."""
+        if m > 1 << 32:
+            w, threshold = self._word() * m, (1 << 64) % m
+            while w & 0xFFFFFFFFFFFFFFFF < threshold:
+                w = self._word() * m
+            return w >> 64
+        threshold = (1 << 32) % m
+        while m > 1:
+            if self._half is None:
+                w = self._word()
+                w, self._half = w & 0xFFFFFFFF, w >> 32
+            else:
+                w, self._half = self._half, None
+            w *= m
+            if w & 0xFFFFFFFF >= threshold:
+                return w >> 32
+        return 0
+
+    def skip(self, k: int):
+        """Pass over the k raw words of Generator.random(k)."""
+        self._pos += k
+
+    def uniforms(self) -> np.ndarray:
+        """Every skipped word as random() gives it, in order; call it once,
+        after the last draw."""
+        self._blocks.append(self._raw(max(self._pos - self._base - len(self._words), 0)))
+        raw = np.delete(np.concatenate(self._blocks)[:self._pos], self._taken)
+        return (raw >> np.uint64(11)) * 2.0 ** -53
+
+    def _word(self) -> int:
+        pos = self._pos
+        if pos >= self._base + len(self._words):  # past the last block: refill
+            self._blocks.append(self._raw(pos - self._base - len(self._words)))
+            self._blocks.append(self._raw(_RAW_WORDS_PER_DRAW))
+            self._words, self._base = self._blocks[-1].tolist(), pos
+        self._taken.append(pos)
+        self._pos = pos + 1
+        return self._words[pos - self._base]
+
+
+def session_draws(rng: np.random.Generator, n: int, n_markets: int, lo: int, hi: int):
+    """The draws of n sessions, each rng.integers(n_markets), then
+    k = rng.integers(lo, hi + 1), then rng.random(k): market and length
+    (intp arrays of n) and u, every session's uniforms in order."""
+    market = np.empty(n, dtype=np.intp)
+    length = np.empty(n, dtype=np.intp)
+    words = RawWords(rng)
+    for i in range(n):
+        market[i] = words.integers(n_markets)
+        length[i] = k = lo + words.integers(hi - lo + 1)
+        words.skip(k)
+    return market, length, words.uniforms()

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import BrandMapping, ClickSession, HotelCatalog, HotelRecord, SessionSet
-from .rng import substream
+from .rng import session_draws, substream
 
 # spread of latent vectors around their market's mean direction
 LATENT_SPREAD = 0.6
@@ -133,27 +133,16 @@ def generate_sessions(world: World, brand: str, cfg: WorldConfig) -> SessionSet:
     """
     if brand not in cfg.brands:
         raise ValueError(f"unknown brand {brand!r}")
-    rng = substream(cfg.seed, "sessions", brand)
     catalog = world.catalog
-    n = cfg.n_sessions_per_brand
     lo, hi = cfg.session_length
 
     # the draws: session i's uniforms are u[first[i]:first[i] + length[i]]
-    market = np.empty(n, dtype=np.intp)
-    length = np.empty(n, dtype=np.intp)
-    u, end = np.empty(2 * n), 0
-    for i in range(n):
-        market[i] = rng.integers(len(world.market_ids))
-        k = int(rng.integers(lo, hi + 1))
-        length[i] = k
-        if end + k > len(u):
-            u = np.concatenate([u[:end], np.empty(max(len(u), k))])
-        rng.random(out=u[end:end + k])
-        end += k
+    market, length, u = session_draws(substream(cfg.seed, "sessions", brand),
+                                      cfg.n_sessions_per_brand, len(world.market_ids), lo, hi)
     first = np.cumsum(length) - length
 
     # the walks: rows[first[i] + t] is the catalog row of session i's click t
-    rows = np.empty(end, dtype=np.intp)
+    rows = np.empty(len(u), dtype=np.intp)
     code = {market_id: c for c, market_id in enumerate(catalog.market_ids)}
     for j, market_id in enumerate(world.market_ids):
         walking = np.flatnonzero(market == j)
@@ -235,14 +224,28 @@ def write_catalog(catalog: HotelCatalog, path):
 
 
 def write_sessions(session_set: SessionSet, path):
+    """One line per session, the bytes of json.dumps of its dict
+    {session_id, brand, market_id, clicks}; each distinct string is encoded
+    once."""
+    encode = _Encodings().__getitem__
     with open(path, "w", encoding="utf-8") as fh:
-        for s in session_set.sessions:
-            fh.write(json.dumps({
-                "session_id": s.session_id,
-                "brand": s.brand,
-                "market_id": s.market_id,
-                "clicks": list(s.clicks),
-            }) + "\n")
+        fh.writelines(
+            f'{{"session_id": {json.dumps(s.session_id)}, "brand": {encode(s.brand)}, '
+            f'"market_id": {encode(s.market_id)}, '
+            f'"clicks": [{", ".join(map(encode, s.clicks))}]}}\n'
+            for s in session_set.sessions)
+
+
+class _Encodings(dict):
+    """json.dumps of a value, kept for a str. Other values are encoded each
+    time: 1, 1.0 and True, or 0.0 and -0.0, are one dict key but differ in
+    JSON."""
+
+    def __missing__(self, value):
+        text = json.dumps(value)
+        if type(value) is str:
+            self[value] = text
+        return text
 
 
 def write_mapping(mapping: BrandMapping, path):

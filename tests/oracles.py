@@ -7,8 +7,10 @@ ranking-metric calculator, the per-event ranking loop the blocked ranker must
 reproduce exactly, the string-keyed per-pair training loop the integer-indexed
 trainer must reproduce bit for bit, a json.loads-per-line session
 loader the one-pass one must agree with, the string loop that the
-index-array prediction events must reproduce, and a click-at-a-time
-session generator that the synthetic world's tables must reproduce.
+index-array prediction events must reproduce, a click-at-a-time
+session generator that the synthetic world's tables must reproduce, the
+per-session Generator calls that the raw-word session draws must reproduce,
+and a json.dumps-per-line session writer.
 """
 
 import json
@@ -478,7 +480,17 @@ def reference_train(train_sessions, catalog, cfg, source_space=None,
 
 
 # ---------------------------------------------------------------------------
-# session files: one json.loads per line, every click checked one by one
+# session files: one json.loads per line, every click checked one by one,
+# and one json.dumps per line
+
+def reference_write_sessions(sessions, path):
+    """A session file as write_sessions wrote it before its cached encodings:
+    one json.dumps of each session's dict per line."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for s in sessions:
+            fh.write(json.dumps({"session_id": s.session_id, "brand": s.brand,
+                                 "market_id": s.market_id, "clicks": list(s.clicks)}) + "\n")
+
 
 def reference_load_sessions(path, hotel_market: dict, brand: str):
     """(sessions, warning) of a session file, as load_sessions read it
@@ -581,3 +593,22 @@ def reference_generate_sessions(world, brand: str, cfg):
             clicks.append(members[cur])
         sessions.append((f"{brand}-s{i:07d}", brand, market_id, tuple(clicks)))
     return sessions
+
+
+def reference_session_draws(rng, n: int, n_markets: int, lo: int, hi: int):
+    """(market, length, u) of n sessions, one Generator call per draw: each
+    session's market rng.integers(n_markets), its length
+    rng.integers(lo, hi + 1) and its uniforms, one rng.random() per click,
+    with u holding every session's uniforms in order."""
+    market = np.empty(n, dtype=np.intp)
+    length = np.empty(n, dtype=np.intp)
+    u, end = np.empty(2 * n), 0
+    for i in range(n):
+        market[i] = rng.integers(n_markets)
+        k = int(rng.integers(lo, hi + 1))
+        length[i] = k
+        if end + k > len(u):
+            u = np.concatenate([u[:end], np.empty(max(len(u), k))])
+        rng.random(out=u[end:end + k])
+        end += k
+    return market, length, u[:end]

@@ -1,6 +1,8 @@
 import numpy as np
+import pytest
 
-from brandalign.rng import substream
+from brandalign.rng import RawWords, session_draws, substream
+from oracles import reference_session_draws
 
 
 def test_same_labels_same_draws():
@@ -33,3 +35,41 @@ def test_accepts_integer_labels():
     a = substream(5, "epoch", 12).random(4)
     b = substream(5, "epoch", 12).random(4)
     assert np.array_equal(a, b)
+
+
+# spans of integers(0, m): one value draws no word; 2**31 + 1 rejects about
+# half of the 32-bit words, so that a carried half follows a rejection;
+# 2**32 - 1 and 2**32 are the 32-bit rule's last spans; past 2**32 the rule
+# takes whole raw words
+SPANS_32 = [1, 2, 3, 5, 2 ** 31 + 1, 2 ** 32 - 1, 2 ** 32]
+SPANS_64 = [2 ** 32 + 1, 2 ** 40, 2 ** 62 + 1, 2 ** 63 - 1]
+
+
+@pytest.mark.parametrize("n_markets", SPANS_32 + SPANS_64)
+def test_session_draws_match_the_per_session_generator_calls(n_markets):
+    # about 2,000 sessions of 2-6 clicks take some 9,000 raw words, past two
+    # block refills; a span of 2**31 + 1 lengths would draw some 2**30
+    # uniforms per session, so the test below takes those spans
+    for seed in range(4):
+        for lo, hi in ((2, 2), (2, 3), (2, 4), (2, 6)):
+            got = session_draws(substream(seed, "sessions", "A"), 2000, n_markets, lo, hi)
+            want = reference_session_draws(substream(seed, "sessions", "A"), 2000,
+                                           n_markets, lo, hi)
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype and np.array_equal(g, w), (seed, lo, hi)
+
+
+@pytest.mark.parametrize("first", SPANS_32 + SPANS_64)
+def test_raw_words_match_generator_calls_at_every_span(first):
+    # the per-session calls with every pair of spans: integers(first), then
+    # d = integers(second), then random(1 + d % 4)
+    for seed, second in enumerate(SPANS_32 + SPANS_64):
+        words, rng = RawWords(substream(seed, "x")), substream(seed, "x")
+        uniforms = []
+        for _ in range(1500):  # past a block refill
+            assert words.integers(first) == rng.integers(first)
+            d = words.integers(second)
+            assert d == rng.integers(second)
+            words.skip(1 + d % 4)
+            uniforms.append(rng.random(1 + d % 4))
+        assert np.array_equal(words.uniforms(), np.concatenate(uniforms)), second

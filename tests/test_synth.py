@@ -6,12 +6,13 @@ import scipy.stats
 
 import oracles
 from brandalign import synth
-from brandalign.data import load_catalog, load_mapping, load_sessions
-from brandalign.rng import substream
+from brandalign.data import (ClickSession, SessionSet, load_catalog, load_mapping,
+                            load_sessions)
+from brandalign.rng import session_draws, substream
 from brandalign.synth import (World, WorldConfig, generate_sessions,
                               generate_world, write_catalog, write_mapping,
                               write_sessions, write_world_meta)
-from oracles import reference_generate_sessions
+from oracles import reference_generate_sessions, reference_write_sessions
 
 
 def tiny_cfg(**kw):
@@ -216,8 +217,8 @@ def test_sessions_match_the_click_at_a_time_reference(kw):
 
 
 class _TopUniforms:
-    """A sessions substream whose integers are the real ones but whose
-    every uniform is the largest double below 1."""
+    """The reference's sessions substream: it draws as the real one does,
+    but every uniform it returns is the largest double below 1."""
     TOP = 1 - 2**-53
 
     def __init__(self, *key):
@@ -226,11 +227,9 @@ class _TopUniforms:
     def integers(self, *args):
         return self._rng.integers(*args)
 
-    def random(self, size=None, out=None):
-        if out is not None:
-            out[...] = self.TOP
-            return out
-        return self.TOP if size is None else np.full(size, self.TOP)
+    def random(self):
+        self._rng.random()
+        return self.TOP
 
 
 def test_a_start_uniform_past_the_start_cdf_picks_the_last_hotel(monkeypatch):
@@ -243,7 +242,12 @@ def test_a_start_uniform_past_the_start_cdf_picks_the_last_hotel(monkeypatch):
                  if np.cumsum(world.brand_popularity["A"][rows] /
                               world.brand_popularity["A"][rows].sum())[-1] < 1.0]
     assert below_one
-    monkeypatch.setattr(synth, "substream", _TopUniforms)
+
+    def top_uniforms(*args):  # the real markets and lengths
+        market, length, u = session_draws(*args)
+        return market, length, np.full_like(u, _TopUniforms.TOP)
+
+    monkeypatch.setattr(synth, "session_draws", top_uniforms)
     monkeypatch.setattr(oracles, "substream", _TopUniforms)
     sessions = generate_sessions(world, "A", cfg).sessions
     assert list(sessions) == reference_generate_sessions(world, "A", cfg)
@@ -336,6 +340,34 @@ def test_loaded_sessions_write_back_byte_identical(tmp_path):
     assert loaded.sessions == sset.sessions
     write_sessions(loaded, second)
     assert second.read_bytes() == first.read_bytes()
+
+
+def test_write_sessions_is_json_dumps_per_line(tmp_path):
+    # each line is one f-string over cached encodings: a quote, a backslash,
+    # non-ASCII, U+2028 and a control character must be escaped as json.dumps
+    # does, a session id may equal a hotel id, and 1, 1.0, True, "1", 0.0 and
+    # -0.0 are equal or near-equal keys with different encodings
+    odd = ['h"1', "h\\2", "hôtel", "ホテル", "h\u2028x", "h\x01", "h\ty"]
+    brand = 'B"\u00e9'
+    sessions = [
+        ClickSession("h00001", brand, "m\\0", ("h00001", "h00001", "h00002")),
+        *(ClickSession(h, brand, h, tuple(odd[i:] + odd[:i]) * 2)
+          for i, h in enumerate(odd)),
+        ClickSession("s-mixed", brand, "m000", (1, 1.0, True, "1", 1, True, 1.0, "1")),
+        ClickSession("s-zeros", brand, "m000", (0.0, -0.0, 0, False, -0.0, 0.0)),
+        ClickSession("s-empty", brand, "m000", ()),
+        ClickSession(7, brand, None, ("h00001",)),
+    ]
+    got, want = tmp_path / "got.jsonl", tmp_path / "want.jsonl"
+    write_sessions(SessionSet(brand, sessions), got)
+    reference_write_sessions(sessions, want)
+    assert got.read_bytes() == want.read_bytes()
+
+    cfg = tiny_cfg(n_markets=3, hotels_per_market=8, n_sessions_per_brand=300)
+    sset = generate_sessions(generate_world(cfg), "A", cfg)
+    write_sessions(sset, got)
+    reference_write_sessions(sset.sessions, want)
+    assert got.read_bytes() == want.read_bytes()
 
 
 def test_world_meta_contents(tmp_path):
