@@ -3,6 +3,7 @@
 import json
 import os
 import re
+import resource
 import subprocess
 import sys
 import warnings
@@ -169,6 +170,22 @@ def test_gen_writes_nothing_when_a_brands_sessions_run_out_of_memory(tmp_path, c
     monkeypatch.setattr(synth, "generate_sessions", exhausted_for_b)
     assert main(gen_args(tmp_path / "out")) == 1
     assert capsys.readouterr().err == "error: gen: out of memory\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_gen_a_trillion_sessions_is_out_of_memory_at_once(tmp_path):
+    # under a 2 GB address space the session arrays, allocated before any
+    # draw, fail at once; draws appended to lists instead ran until killed
+    env = dict(os.environ, PYTHONPATH=str(Path(brandalign.__file__).parents[1]),
+               OPENBLAS_NUM_THREADS="1")
+    env.pop("PYTHONWARNINGS", None)
+    limit = 2 * 1024 ** 3
+    proc = subprocess.run(
+        [sys.executable, "-m", "brandalign.cli", "gen", "--out-dir", str(tmp_path / "out"),
+         "--markets", "2", "--hotels-per-market", "10", "--sessions", "1000000000000"],
+        env=env, capture_output=True, text=True, timeout=20,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+    assert (proc.returncode, proc.stderr) == (1, "error: gen: out of memory\n")
     assert list(tmp_path.iterdir()) == []
 
 
