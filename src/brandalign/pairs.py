@@ -1,12 +1,7 @@
 """Skip-gram pair construction with market-restricted negative sampling."""
 
-import numpy as np
-
 from .data import ClickSession, HotelCatalog, SessionSet
-from .rng import substream
-
-
-_WORDS_PER_DRAW = 1024  # sets when random_words refills, not which words come out
+from .rng import RawWords, substream
 
 
 def make_pairs(session: ClickSession, window: int) -> list[tuple[str, str]]:
@@ -28,33 +23,23 @@ def make_pairs(session: ClickSession, window: int) -> list[tuple[str, str]]:
     return out
 
 
-def random_words(rng: np.random.Generator):
-    """rng's stream of 32-bit words, drawn _WORDS_PER_DRAW at a time: the words
-    that Generator.integers(0, m) consumes, in the same order, for m <= 2**32."""
-    while True:
-        yield from rng.integers(0, 1 << 32, size=_WORDS_PER_DRAW, dtype=np.uint64).tolist()
-
-
-def sample_negatives(pool, target, context, n_neg: int, words) -> list | None:
+def sample_negatives(pool, target, context, n_neg: int, words: RawWords) -> list | None:
     """Draw n_neg members of pool (the target's market: hotel ids or catalog
     indices alike) uniformly with replacement, excluding the target and
     context themselves.
 
-    A draw is pool[Generator.integers(0, m)], m = len(pool), by numpy's rule
-    (Lemire): the next word w of words (see random_words) gives w * m >> 32,
-    unless the low 32 bits of w * m are below 2**32 % m. Returns None when
-    the eligible set is empty; the caller drops the pair.
+    A draw is pool[words.integers(m)], m = len(pool): numpy's
+    Generator.integers(0, m). Returns None when the eligible set is empty;
+    the caller drops the pair.
     """
     m = len(pool)
     # a pool of three distinct members keeps one whatever target and context are
     if m < 3 and m - 1 - (context != target and context in pool) <= 0:
         return None
-    threshold = (1 << 32) % m
     # rejection sampling stays uniform over the eligible set
     out = []
     while len(out) < n_neg:
-        w = next(words) * m
-        if w & 0xFFFFFFFF >= threshold and (h := pool[w >> 32]) not in (target, context):
+        if (h := pool[words.integers(m)]) not in (target, context):
             out.append(h)
     return out
 
@@ -70,7 +55,7 @@ def build_epoch_stream(sessions: SessionSet, catalog: HotelCatalog,
     index, market = catalog.index, catalog.market_codes.tolist()
     pools = [rows.tolist() for rows in catalog.members]
     order = substream(seed, "shuffle", epoch_index).permutation(len(sessions))
-    words = random_words(substream(seed, "negatives", epoch_index))
+    words = RawWords(substream(seed, "negatives", epoch_index))
     for si in order:
         for target, context in make_pairs(sessions.sessions[si], window):
             t, c = index[target], index[context]

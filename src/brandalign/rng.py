@@ -6,6 +6,7 @@ a new consumer never perturbs the draws of an existing one.
 """
 
 import zlib
+from array import array
 
 import numpy as np
 
@@ -37,17 +38,14 @@ class RawWords:
     the next integers call. A word w gives w * m >> 32, unless the low 32
     bits of w * m are below 2**32 % m and the next word is tried (Lemire,
     arXiv:1805.10941). Past 2**32 the same rule runs on whole raw words and
-    64 bits. random() takes a whole raw word, (raw >> 11) * 2**-53, and
-    leaves a carried half where it is.
+    64 bits. random() takes whole raw words and leaves a carried half where
+    it is. Only the current block is kept.
     """
 
     def __init__(self, rng: np.random.Generator):
         self._raw = rng.bit_generator.random_raw
-        self._blocks = []  # every raw word drawn so far, in order
-        self._words, self._base = [], 0  # the last block: raw words _base, _base + 1, ...
-        self._pos = 0  # the next raw word
+        self._words, self._pos = [], 0  # the current block and its next word
         self._half = None  # the carried high half
-        self._taken = []  # the raw words that integers took
 
     def integers(self, m: int) -> int:
         """Generator.integers(0, m)."""
@@ -68,26 +66,20 @@ class RawWords:
                 return w >> 32
         return 0
 
-    def skip(self, k: int):
-        """Pass over the k raw words of Generator.random(k)."""
-        self._pos += k
-
-    def uniforms(self) -> np.ndarray:
-        """Every skipped word as random() gives it, in order; call it once,
-        after the last draw."""
-        self._blocks.append(self._raw(max(self._pos - self._base - len(self._words), 0)))
-        raw = np.delete(np.concatenate(self._blocks)[:self._pos], self._taken)
-        return (raw >> np.uint64(11)) * 2.0 ** -53
+    def random(self, k: int) -> list:
+        """The k raw words of Generator.random(k), which gives each word as
+        (raw >> 11) * 2**-53."""
+        pos = self._pos
+        out, self._pos = self._words[pos:pos + k], min(pos + k, len(self._words))
+        if len(out) < k:  # past the block: the rest straight from the generator
+            out += self._raw(k - len(out)).tolist()
+        return out
 
     def _word(self) -> int:
-        pos = self._pos
-        if pos >= self._base + len(self._words):  # past the last block: refill
-            self._blocks.append(self._raw(pos - self._base - len(self._words)))
-            self._blocks.append(self._raw(_RAW_WORDS_PER_DRAW))
-            self._words, self._base = self._blocks[-1].tolist(), pos
-        self._taken.append(pos)
-        self._pos = pos + 1
-        return self._words[pos - self._base]
+        if self._pos == len(self._words):
+            self._words, self._pos = self._raw(_RAW_WORDS_PER_DRAW).tolist(), 0
+        self._pos += 1
+        return self._words[self._pos - 1]
 
 
 def session_draws(rng: np.random.Generator, n: int, n_markets: int, lo: int, hi: int):
@@ -96,9 +88,9 @@ def session_draws(rng: np.random.Generator, n: int, n_markets: int, lo: int, hi:
     (intp arrays of n) and u, every session's uniforms in order."""
     market = np.empty(n, dtype=np.intp)
     length = np.empty(n, dtype=np.intp)
-    words = RawWords(rng)
+    words, raw = RawWords(rng), array("Q")
     for i in range(n):
         market[i] = words.integers(n_markets)
         length[i] = k = lo + words.integers(hi - lo + 1)
-        words.skip(k)
-    return market, length, words.uniforms()
+        raw.extend(words.random(k))
+    return market, length, (np.frombuffer(raw, dtype=np.uint64) >> np.uint64(11)) * 2.0 ** -53

@@ -4,9 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from brandalign.data import ClickSession, SessionSet
-from brandalign.pairs import (_WORDS_PER_DRAW, build_epoch_stream, make_pairs,
-                              random_words, sample_negatives)
-from brandalign.rng import substream
+from brandalign.pairs import build_epoch_stream, make_pairs, sample_negatives
+from brandalign.rng import _RAW_WORDS_PER_DRAW, RawWords, substream
 from conftest import make_catalog, make_sessions
 
 
@@ -79,11 +78,11 @@ BOUNDS = [2, 3, 150, 200, 2**31 + 1, 2**32 - 1]
 @settings(max_examples=300, deadline=None)
 def test_negative_draws_equal_generator_integers(seed, lead, bounds):
     # with nothing to exclude each negative is one call of integers; the lead
-    # (one word per draw at m = 2) puts the buffer refill within or near the
-    # run of mixed bounds, also within a run of rejected words (about half of
-    # them are rejected at m = 2**31 + 1)
-    lead += _WORDS_PER_DRAW - 30
-    words = random_words(np.random.default_rng(seed))
+    # (one 32-bit half per draw at m = 2, two per raw word) puts the block
+    # refill within or near the run of mixed bounds, also within a run of
+    # rejected words (about half of them are rejected at m = 2**31 + 1)
+    lead += 2 * _RAW_WORDS_PER_DRAW - 30
+    words = RawWords(np.random.default_rng(seed))
     rng = np.random.default_rng(seed)
     assert sample_negatives(range(2), -1, -1, lead, words) == \
         rng.integers(0, 2, size=lead).tolist()
@@ -93,30 +92,30 @@ def test_negative_draws_equal_generator_integers(seed, lead, bounds):
 
 @pytest.mark.parametrize("m", BOUNDS)
 def test_negative_draws_match_one_bulk_integers_call(m):
-    # 3,000 draws span at least two refills of the word buffer
-    words = random_words(substream(5, "negatives", 1))
-    want = substream(5, "negatives", 1).integers(0, m, size=3000).tolist()
-    assert sample_negatives(range(m), -1, -1, 3000, words) == want
+    # 20,000 draws, at least one 32-bit half each, span at least two block refills
+    words = RawWords(substream(5, "negatives", 1))
+    want = substream(5, "negatives", 1).integers(0, m, size=20_000).tolist()
+    assert sample_negatives(range(m), -1, -1, 20_000, words) == want
 
 
 def test_negatives_respect_exclusions(catalog4):
-    rng = random_words(substream(0, "negatives", 0))
+    words = RawWords(substream(0, "negatives", 0))
     for _ in range(20):
-        negs = sample_negatives(_pool(catalog4, "A"), "A", "B", 2, rng)
+        negs = sample_negatives(_pool(catalog4, "A"), "A", "B", 2, words)
         assert len(negs) == 2
         assert set(negs) <= {"C", "D"}
 
 
 def test_negatives_empty_eligible_set_skips():
     catalog = make_catalog({"m0": ["A", "B"]})
-    rng = random_words(substream(0, "negatives", 0))
-    assert sample_negatives(_pool(catalog, "A"), "A", "B", 1, rng) is None
+    words = RawWords(substream(0, "negatives", 0))
+    assert sample_negatives(_pool(catalog, "A"), "A", "B", 1, words) is None
 
 
 def test_negatives_deterministic_under_seed(catalog4):
     def draw():
-        rng = random_words(substream(9, "negatives", 0))
-        return [sample_negatives(_pool(catalog4, "A"), "A", "B", 3, rng)
+        words = RawWords(substream(9, "negatives", 0))
+        return [sample_negatives(_pool(catalog4, "A"), "A", "B", 3, words)
                 for _ in range(5)]
     assert draw() == draw()
 
@@ -124,14 +123,14 @@ def test_negatives_deterministic_under_seed(catalog4):
 def test_negatives_sample_with_replacement():
     # eligible set of size 1: every draw must be the single eligible hotel
     catalog = make_catalog({"m0": ["A", "B", "C"]})
-    rng = random_words(substream(0, "negatives", 0))
-    assert sample_negatives(_pool(catalog, "A"), "A", "B", 4, rng) == ["C", "C", "C", "C"]
+    words = RawWords(substream(0, "negatives", 0))
+    assert sample_negatives(_pool(catalog, "A"), "A", "B", 4, words) == ["C", "C", "C", "C"]
 
 
 def test_negatives_share_target_market(catalog6):
-    rng = random_words(substream(3, "negatives", 0))
+    words = RawWords(substream(3, "negatives", 0))
     for target, context in [("h0", "h1"), ("h4", "h5")]:
-        negs = sample_negatives(_pool(catalog6, target), target, context, 5, rng)
+        negs = sample_negatives(_pool(catalog6, target), target, context, 5, words)
         market = catalog6.market_of(target)
         for n in negs:
             assert catalog6.market_of(n) == market

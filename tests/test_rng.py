@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from brandalign.rng import RawWords, session_draws, substream
+from brandalign.rng import _RAW_WORDS_PER_DRAW, RawWords, session_draws, substream
 from oracles import reference_session_draws
 
 
@@ -59,17 +59,30 @@ def test_session_draws_match_the_per_session_generator_calls(n_markets):
                 assert g.dtype == w.dtype and np.array_equal(g, w), (seed, lo, hi)
 
 
+def _uniforms(raw):
+    """Generator.random's values of raw words."""
+    return (np.array(raw, dtype=np.uint64) >> np.uint64(11)) * 2.0 ** -53
+
+
 @pytest.mark.parametrize("first", SPANS_32 + SPANS_64)
 def test_raw_words_match_generator_calls_at_every_span(first):
     # the per-session calls with every pair of spans: integers(first), then
-    # d = integers(second), then random(1 + d % 4)
+    # d = integers(second), then random(1 + d % 4); then a random(k) longer
+    # than a block, taken while a half is carried, which the next 32-bit
+    # integers call takes (integers(2**32) gives the half itself)
     for seed, second in enumerate(SPANS_32 + SPANS_64):
         words, rng = RawWords(substream(seed, "x")), substream(seed, "x")
-        uniforms = []
+        raw, uniforms = [], []
         for _ in range(1500):  # past a block refill
             assert words.integers(first) == rng.integers(first)
             d = words.integers(second)
             assert d == rng.integers(second)
-            words.skip(1 + d % 4)
+            raw += words.random(1 + d % 4)
             uniforms.append(rng.random(1 + d % 4))
-        assert np.array_equal(words.uniforms(), np.concatenate(uniforms)), second
+        assert np.array_equal(_uniforms(raw), np.concatenate(uniforms)), second
+        if words._half is None:
+            assert words.integers(2 ** 32) == rng.integers(2 ** 32)
+        k = 3 * _RAW_WORDS_PER_DRAW + 5
+        assert np.array_equal(_uniforms(words.random(k)), rng.random(k)), second
+        assert words.integers(2 ** 32) == rng.integers(2 ** 32), second
+        assert words.integers(first) == rng.integers(first), second
