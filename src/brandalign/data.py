@@ -319,7 +319,7 @@ def split_sizes(n: int, ratios: tuple[float, float, float]) -> tuple[int, int, i
     non-empty at desk scale. Depends only on (n, ratios), never on the seed.
     """
     total = sum(ratios)
-    if not all(0 <= r < np.inf for r in ratios) or total <= 0:
+    if not all(0 <= r < np.inf for r in ratios) or not 0 < total < np.inf:
         raise ValueError("ratios must be finite, nonnegative and sum to a positive value")
     exact = [n * r / total for r in ratios]
     sizes = [int(np.floor(e)) for e in exact]

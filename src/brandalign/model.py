@@ -370,8 +370,8 @@ def read_embeddings(path, brand: str = "unknown") -> EmbeddingSpace:
         if len(header) != 2:
             raise DataError(f"{path}:1: bad header")
         count, dim = parse_numbers(header, int, path, 1)
-        if dim < 1:
-            raise DataError(f"{path}:1: dimension must be positive, got {dim}")
+        if not 1 <= dim < 2 ** 60:  # numpy's float arrays stay below 2**63 bytes
+            raise DataError(f"{path}:1: dimension must be positive and below 2**60, got {dim}")
         lines, coords = {}, []  # hotel id -> its line, in file order
         for lineno, line in enumerate(fh, start=2):
             parts = line.split()

@@ -377,9 +377,9 @@ def test_train_lambda_with_an_empty_mapping_fails_before_training(
 
 
 def test_train_bad_ratios_is_usage_error(world_dir, tmp_path, capsys):
-    # a:b:c, nan:1:1, -1:1:1 and 0:0:0 used to exit 1 with a message that
-    # named no flag
-    for ratios in ("8:1", "a:b:c", "nan:1:1", "inf:1:1", "-1:1:1", "0:0:0"):
+    # a:b:c, nan:1:1, -1:1:1, 0:0:0 and 1e308:1e308:1, whose sum overflows,
+    # used to exit 1 with a message that named no flag
+    for ratios in ("8:1", "a:b:c", "nan:1:1", "inf:1:1", "-1:1:1", "0:0:0", "1e308:1e308:1"):
         rc = main(["train", "--catalog", str(world_dir / "catalog.jsonl"),
                    "--sessions", str(world_dir / "sessions_A.jsonl"),
                    "--brand", "A", "--out", str(tmp_path / "x.emb"),

@@ -624,7 +624,8 @@ def test_read_embeddings_rejects_malformed_files(tmp_path):
     with pytest.raises(DataError, match=r"bad6\.emb:3: could not convert .*'zz'"):
         read_embeddings(bad_coordinate)
 
-    for dim in ("0", "-1"):
+    # past 2**60 numpy cannot shape even a (0, dim) array of floats
+    for dim in ("0", "-1", "1152921504606846976", "100000000000000000000"):
         bad_dim = tmp_path / "bad7.emb"
         bad_dim.write_text(f"0 {dim}\n")
         with pytest.raises(DataError, match=r"bad7\.emb:1: dimension must be positive"):
