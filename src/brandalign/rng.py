@@ -76,10 +76,11 @@ class RawWords:
         return out
 
     def _word(self) -> int:
-        if self._pos == len(self._words):
-            self._words, self._pos = self._raw(_RAW_WORDS_PER_DRAW).tolist(), 0
-        self._pos += 1
-        return self._words[self._pos - 1]
+        pos = self._pos
+        if pos == len(self._words):  # past the block: refill
+            self._words, pos = self._raw(_RAW_WORDS_PER_DRAW).tolist(), 0
+        self._pos = pos + 1
+        return self._words[pos]
 
 
 def session_draws(rng: np.random.Generator, n: int, n_markets: int, lo: int, hi: int):
