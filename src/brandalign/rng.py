@@ -70,7 +70,8 @@ class RawWords:
         """The k raw words of Generator.random(k), which gives each word as
         (raw >> 11) * 2**-53."""
         pos = self._pos
-        out, self._pos = self._words[pos:pos + k], min(pos + k, len(self._words))
+        out = self._words[pos:pos + k]
+        self._pos = pos + len(out)
         if len(out) < k:  # past the block: the rest straight from the generator
             out += self._raw(k - len(out)).tolist()
         return out
