@@ -624,7 +624,7 @@ def test_read_embeddings_rejects_malformed_files(tmp_path):
     with pytest.raises(DataError, match=r"bad6\.emb:3: could not convert .*'zz'"):
         read_embeddings(bad_coordinate)
 
-    # past 2**60 numpy cannot shape even a (0, dim) array of floats
+    # from 2**60 on numpy cannot shape even a (0, dim) array of floats
     for dim in ("0", "-1", "1152921504606846976", "100000000000000000000"):
         bad_dim = tmp_path / "bad7.emb"
         bad_dim.write_text(f"0 {dim}\n")
