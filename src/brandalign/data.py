@@ -17,7 +17,10 @@ import contextlib
 import json
 import re
 import warnings
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from itertools import chain
 from sys import intern
 from typing import NamedTuple
 
@@ -162,19 +165,51 @@ class ClickSession(NamedTuple):
     clicks: tuple[str, ...]
 
 
+class Sessions(Sequence):
+    """Read-only sessions of one brand as columns, in Apache Arrow's list
+    layout: clicks is one flat tuple of every click, kept as given, and session
+    i is ClickSession(ids[i], brand, markets[i], clicks[ends[i - 1]:ends[i]])."""
+
+    def __init__(self, brand, ids, markets, clicks, ends):
+        self.brand, self.ids, self.markets = brand, tuple(ids), tuple(markets)
+        self.clicks, self.ends = tuple(clicks), np.array(ends, np.int64)
+        self.ends.flags.writeable = False
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(map(self.__getitem__, range(len(self))[i]))
+        i = range(len(self))[i]
+        return ClickSession(self.ids[i], self.brand, self.markets[i],
+                            self.clicks[self.ends[i - 1] if i else 0:self.ends[i]])
+
+    def __eq__(self, other):
+        return list(self) == list(other) if isinstance(other, Sessions) else NotImplemented
+
+
 @dataclass(frozen=True, eq=False)
 class SessionSet:
-    """Immutable: sessions is a tuple; _events is make_events' memo."""
+    """Immutable: sessions is a Sessions; _events is make_events' memo."""
     brand: str
-    sessions: tuple[ClickSession, ...] = ()
+    sessions: Sessions = ()
     _events: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "sessions", tuple(self.sessions))
-        for s in self.sessions:
-            if s.brand != self.brand:
+        given, brand = self.sessions, self.brand
+        if isinstance(given, Sessions) and given.brand == brand:
+            return
+        ids, markets, clicks, ends = [], [], [], array("q")
+        for s in given:
+            if s.brand != brand:
                 raise DataError(
-                    f"session {s.session_id!r} has brand {s.brand!r}, expected {self.brand!r}")
+                    f"session {s.session_id!r} has brand {s.brand!r}, expected {brand!r}")
+            ids.append(s.session_id)
+            markets.append(s.market_id)
+            clicks.extend(s.clicks)
+            ends.append(len(clicks))
+        object.__setattr__(self, "sessions", Sessions(brand, ids, markets, clicks, ends))
 
     def __len__(self) -> int:
         return len(self.sessions)
@@ -251,39 +286,39 @@ def load_catalog(path) -> HotelCatalog:
 
 
 def load_sessions(path, catalog: HotelCatalog, brand: str) -> SessionSet:
-    sessions, outside = [], []  # clicks outside their session's market
-    markets = catalog.markets
+    ids, markets, clicks, ends = [], [], [], array("q")
+    outside = []  # clicks outside their session's market
     for lineno, obj in _parse_lines(path):
         try:
             if not isinstance(obj["clicks"], list):
                 raise TypeError(f"clicks must be a list of hotel ids, got "
                                 f"{type(obj['clicks']).__name__}")
-            session = ClickSession(str(obj["session_id"]), intern(str(obj["brand"])),
-                                   intern(str(obj["market_id"])),
-                                   tuple(map(intern, map(str, obj["clicks"]))))
+            sid, session_brand = str(obj["session_id"]), intern(str(obj["brand"]))
+            market = intern(str(obj["market_id"]))
+            these = list(map(intern, map(str, obj["clicks"])))
         except (KeyError, TypeError) as exc:
             raise DataError(f"{path}:{lineno}: bad session record: {exc}") from exc
-        if not session.clicks:
-            raise DataError(f"{path}:{lineno}: session {session.session_id!r} has no clicks")
-        if not markets.get(session.market_id, set()).issuperset(session.clicks):
-            for c in session.clicks:  # an unknown hotel, or clicks in other markets
+        if not these:
+            raise DataError(f"{path}:{lineno}: session {sid!r} has no clicks")
+        if not catalog.markets.get(market, set()).issuperset(these):
+            for c in these:  # an unknown hotel, or clicks in other markets
                 if c not in catalog:
                     raise DataError(
-                        f"{path}:{lineno}: session {session.session_id!r} references "
-                        f"unknown hotel {c!r}")
-                if catalog.market_of(c) != session.market_id:
-                    outside.append(
-                        f"{path}:{lineno}: session {session.session_id!r} click {c!r} "
-                        f"is outside market {session.market_id!r}")
-        if session.brand != brand:
-            raise DataError(
-                f"{path}:{lineno}: session {session.session_id!r} has brand "
-                f"{session.brand!r}, expected {brand!r}")
-        sessions.append(session)
+                        f"{path}:{lineno}: session {sid!r} references unknown hotel {c!r}")
+                if catalog.market_of(c) != market:
+                    outside.append(f"{path}:{lineno}: session {sid!r} click {c!r} "
+                                   f"is outside market {market!r}")
+        if session_brand != brand:
+            raise DataError(f"{path}:{lineno}: session {sid!r} has brand "
+                            f"{session_brand!r}, expected {brand!r}")
+        ids.append(sid)
+        markets.append(market)
+        clicks.extend(these)
+        ends.append(len(clicks))
     if outside:
         warnings.warn(f"{outside[0]} ({len(outside)} click(s) in this file are "
                       f"outside their session's market)")
-    return SessionSet(brand=brand, sessions=sessions)
+    return SessionSet(brand, Sessions(brand, ids, markets, clicks, ends))
 
 
 def load_mapping(path, source_catalog: HotelCatalog | None = None,
@@ -336,12 +371,15 @@ def split_sizes(n: int, ratios: tuple[float, float, float]) -> tuple[int, int, i
 def split_sessions(session_set: SessionSet, ratios: tuple[float, float, float],
                    seed: int) -> tuple[SessionSet, SessionSet, SessionSet]:
     """Deterministic train/val/test partition: shuffle by seed, then slice."""
-    n_train, n_val, n_test = split_sizes(len(session_set), ratios)
+    n_train, n_val, _ = split_sizes(len(session_set), ratios)
     order = substream(seed, "split", session_set.brand).permutation(len(session_set))
-    shuffled = [session_set.sessions[i] for i in order]
-    brand = session_set.brand
-    return (
-        SessionSet(brand, shuffled[:n_train]),
-        SessionSet(brand, shuffled[n_train:n_train + n_val]),
-        SessionSet(brand, shuffled[n_train + n_val:]),
-    )
+    s, brand = session_set.sessions, session_set.brand
+    bounds, lengths = [0, *s.ends.tolist()], np.diff(s.ends, prepend=0)
+
+    def gather(part):  # the sessions at positions part, in its order
+        rows = part.tolist()
+        return SessionSet(brand, Sessions(
+            brand, map(s.ids.__getitem__, rows), map(s.markets.__getitem__, rows),
+            chain.from_iterable(s.clicks[bounds[i]:bounds[i + 1]] for i in rows),
+            np.cumsum(lengths[part])))
+    return tuple(map(gather, np.split(order, [n_train, n_train + n_val])))

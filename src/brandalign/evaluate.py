@@ -13,7 +13,7 @@ import operator
 import sys
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from itertools import chain, repeat
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -75,8 +75,8 @@ def make_events(sessions: SessionSet, catalog: HotelCatalog) -> Events:
     a repeat call returns the same Events, another catalog replaces them."""
     if sessions._events is not None and sessions._events[0] is catalog:
         return sessions._events[1]
-    clicks = tuple(chain.from_iterable(s.clicks for s in sessions.sessions))
-    session = np.repeat(np.arange(len(sessions)), [len(s.clicks) for s in sessions.sessions])
+    clicks, ends = sessions.sessions.clicks, sessions.sessions.ends
+    session = np.repeat(np.arange(len(sessions)), np.diff(ends, prepend=0))
     # a repeat (A A) is no event: the truth must differ from the query
     pair = (session[:-1] == session[1:]) & np.fromiter(
         map(operator.ne, clicks, clicks[1:]), bool, max(len(clicks) - 1, 0))

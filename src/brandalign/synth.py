@@ -9,12 +9,11 @@ has to bridge.
 import json
 import os
 from dataclasses import dataclass, field, asdict
-from itertools import islice
 from pathlib import Path
 
 import numpy as np
 
-from .data import BrandMapping, ClickSession, HotelCatalog, HotelRecord, SessionSet
+from .data import BrandMapping, HotelCatalog, HotelRecord, Sessions, SessionSet
 from .rng import session_draws, substream
 
 # spread of latent vectors around their market's mean direction
@@ -150,14 +149,10 @@ def generate_sessions(world: World, brand: str, cfg: WorldConfig) -> SessionSet:
               first[walking], length[walking], rows)
     del u, first
 
-    clicks = iter(np.array(catalog.hotel_ids, dtype=object)[rows].tolist())
-    del rows
-    market, length = market.tolist(), length.tolist()
-    sessions = [
-        ClickSession(session_id=f"{brand}-s{i:07d}", brand=brand,
-                     market_id=world.market_ids[j], clicks=tuple(islice(clicks, k)))
-        for i, (j, k) in enumerate(zip(market, length))]
-    return SessionSet(brand=brand, sessions=sessions)
+    return SessionSet(brand, Sessions(
+        brand, [f"{brand}-s{i:07d}" for i in range(len(market))],
+        map(world.market_ids.__getitem__, market.tolist()),
+        np.array(catalog.hotel_ids, dtype=object)[rows].tolist(), np.cumsum(length)))
 
 
 def _walk(world: World, brand: str, members: np.ndarray, u: np.ndarray,
@@ -227,13 +222,14 @@ def write_sessions(session_set: SessionSet, path):
     """One line per session, the bytes of json.dumps of its dict
     {session_id, brand, market_id, clicks}; each distinct string is encoded
     once."""
-    encode = _Encodings().__getitem__
+    s, encode = session_set.sessions, _Encodings().__getitem__
+    brand, ends = encode(s.brand), s.ends.tolist()
     with open(path, "w", encoding="utf-8") as fh:
         fh.writelines(
-            f'{{"session_id": {json.dumps(s.session_id)}, "brand": {encode(s.brand)}, '
-            f'"market_id": {encode(s.market_id)}, '
-            f'"clicks": [{", ".join(map(encode, s.clicks))}]}}\n'
-            for s in session_set.sessions)
+            f'{{"session_id": {json.dumps(sid)}, "brand": {brand}, '
+            f'"market_id": {encode(market)}, '
+            f'"clicks": [{", ".join(map(encode, s.clicks[start:end]))}]}}\n'
+            for sid, market, start, end in zip(s.ids, s.markets, [0, *ends], ends))
 
 
 class _Encodings(dict):

@@ -133,7 +133,11 @@ def test_make_events_are_built_once_per_split_and_catalog():
 
 def test_session_sets_and_shared_events_are_read_only():
     sessions = _session_set([["a", "b"], ["c", "a"]])
-    assert type(sessions.sessions) is tuple and len(sessions) == 2
+    assert len(sessions) == 2
+    with pytest.raises(TypeError):
+        sessions.sessions[0] = sessions.sessions[1]
+    with pytest.raises(ValueError, match="read-only"):
+        sessions.sessions.ends[0] = 0
     with pytest.raises(dataclasses.FrozenInstanceError):
         sessions.sessions = ()
     events = make_events(sessions, _EVENT_CATALOG)

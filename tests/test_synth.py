@@ -1,4 +1,6 @@
 import json
+import operator
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ import scipy.stats
 import oracles
 from brandalign import synth
 from brandalign.data import (ClickSession, SessionSet, load_catalog, load_mapping,
-                            load_sessions)
+                            load_sessions, split_sessions)
 from brandalign.rng import session_draws, substream
 from brandalign.synth import (World, WorldConfig, generate_sessions,
                               generate_world, write_catalog, write_mapping,
@@ -368,6 +370,70 @@ def test_write_sessions_is_json_dumps_per_line(tmp_path):
     write_sessions(sset, got)
     reference_write_sessions(sset.sessions, want)
     assert got.read_bytes() == want.read_bytes()
+
+
+def test_session_set_reads_back_each_click_session_as_given():
+    # a SessionSet keeps its sessions as columns: one flat tuple of clicks
+    # and their ends; reading one builds the ClickSession it was given, with
+    # its clicks the very objects given (1, 1.0 and True, or 0.0 and -0.0,
+    # are equal but not the same)
+    brand = "B"
+    sessions = [
+        ClickSession("s-mixed", brand, "m000", (1, 1.0, True, "1", 1, True, 1.0, "1")),
+        ClickSession("s-zeros", brand, "m000", (0.0, -0.0, 0, False, -0.0, 0.0)),
+        ClickSession("s-empty", brand, "m000", ()),
+        ClickSession(7, brand, None, ("h00001",)),
+        ClickSession("h00001", brand, "m\\0", ("h00001", "h00001", "h00002")),
+    ]
+    got = SessionSet(brand, sessions).sessions
+    assert len(got) == len(sessions)
+    assert got[0] == sessions[0] and got[-1] == sessions[-1]
+    for i in range(-len(sessions), len(sessions)):
+        assert type(got[i]) is ClickSession and got[i] == sessions[i]
+        assert all(map(operator.is_, got[i].clicks, sessions[i].clicks))
+    for part in (slice(None), slice(1, 3), slice(-2, None), slice(None, None, -1),
+                 slice(4, 0, -2), slice(3, 3), slice(-99, 99)):
+        assert got[part] == tuple(sessions[part])
+    assert list(got) == sessions
+    with pytest.raises(IndexError):
+        got[len(sessions)]
+    with pytest.raises(IndexError):
+        got[-len(sessions) - 1]
+    assert got == SessionSet(brand, sessions).sessions
+    assert got != SessionSet(brand, sessions[:-1]).sessions
+    emptied = sessions[-1]._replace(clicks=())
+    assert got != SessionSet(brand, [*sessions[:-1], emptied]).sessions
+
+    cfg = tiny_cfg(n_markets=3, hotels_per_market=8, n_sessions_per_brand=300)
+    generated = generate_sessions(generate_world(cfg), "A", cfg)
+    for sset in (SessionSet(brand, sessions), generated):
+        order = substream(42, "split", sset.brand).permutation(len(sset))
+        shuffled = [sset.sessions[i] for i in order]
+        parts = split_sessions(sset, (3, 1, 1), 42)
+        sizes = [len(p) for p in parts]
+        assert sum(sizes) == len(sset) and all(sizes)
+        for part, lo in zip(parts, (0, sizes[0], sizes[0] + sizes[1])):
+            assert part.brand == sset.brand
+            assert list(part.sessions) == shuffled[lo:lo + len(part)]
+
+
+def test_loaded_sessions_hold_under_150_bytes_each(tmp_path):
+    # one ClickSession and clicks tuple per session held about 215 bytes per
+    # loaded session; as columns a session holds its id string and one
+    # pointer per id, market and click, plus an int64 end (about 111)
+    cfg = tiny_cfg(n_markets=5, hotels_per_market=200, latent_dim=8,
+                   n_sessions_per_brand=20_000, session_length=(2, 5))
+    synth.write_world(cfg, tmp_path)
+    catalog = load_catalog(tmp_path / "catalog.jsonl")
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        loaded = load_sessions(tmp_path / "sessions_A.jsonl", catalog, "A")
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(loaded) == 20_000
+    assert held / len(loaded) < 150
 
 
 def test_world_meta_contents(tmp_path):
