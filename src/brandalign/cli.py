@@ -135,7 +135,10 @@ def cmd_align(args) -> int:
     source = model.read_embeddings(args.source_emb)
     target = model.read_embeddings(args.target_emb)
     mapping = _load_mapping(args.mapping, "align")
-    s_mat, t_mat, ids, excluded = align_mod.common_rows(source, target, mapping)
+    try:
+        s_mat, t_mat, ids, excluded = align_mod.common_rows(source, target, mapping)
+    except ValueError as exc:  # no mapped pair is in both files
+        raise DataError(f"{args.source_emb}, {args.target_emb}: {exc}") from None
     if args.method == "lp":
         proj = align_mod.fit_linear_projection(s_mat, t_mat)
     else:
@@ -184,8 +187,11 @@ def cmd_eval(args) -> int:
                   file=sys.stderr)
             return 1
     else:
-        report = evaluate_sessions(sessions, space, catalog, mode=args.mode,
-                                   ks=ks, metadata=metadata, pool=args.pool)
+        try:
+            report = evaluate_sessions(sessions, space, catalog, mode=args.mode,
+                                       ks=ks, metadata=metadata, pool=args.pool)
+        except DataError as exc:  # a query hotel the file lacks
+            raise DataError(f"{args.embeddings}: {exc}") from None
     write_metrics(report, args.out)
     setting = "cross_brand" if args.cross_brand else "in_brand"
     for k in ks:

@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .data import BrandMapping, HotelCatalog, SessionSet
+from .data import BrandMapping, DataError, HotelCatalog, SessionSet
 from .model import EmbeddingSpace
 
 
@@ -177,7 +177,7 @@ def rank_candidates(event: PredictionEvent, space: EmbeddingSpace,
         raise ValueError(f"query hotel {event.query!r} is not in {where}")
     q = ids.index(event.query)
     if not cache.present[q]:
-        raise ValueError(f"query hotel {event.query!r} missing from space")
+        raise DataError(f"query hotel {event.query!r} missing from space")
     return [ids[i] for i in _orders(cache, np.array([q]), mode)[0] if i != q]
 
 
@@ -259,7 +259,7 @@ def _event_ranks(events: Events, catalog: HotelCatalog, get, dim: int, mode: str
                                           cap)
     if not skip_missing_query and (ranks < 0).any():  # the first in input order
         query = events[int(np.argmax(ranks < 0))].query
-        raise ValueError(f"query hotel {query!r} missing from space")
+        raise DataError(f"query hotel {query!r} missing from space")
     kept = ranks[ranks >= 0]
     kept[kept == 0] = math.inf
     return kept, len(events) - len(kept), missing_total

@@ -585,6 +585,22 @@ def test_align_empty_mapping_names_the_file(world_dir, trained, tmp_path, capsys
     assert not out.exists()
 
 
+def test_align_spaces_sharing_no_id_name_both_files(world_dir, trained, tmp_path, capsys):
+    # the error once read "zero common rows between the two spaces", naming
+    # neither file
+    a_emb, b_emb = trained
+    header, *rows = open(b_emb).read().splitlines()
+    renamed = tmp_path / "renamed.emb"
+    renamed.write_text("\n".join([header] + ["X" + row for row in rows]) + "\n")
+    out = tmp_path / "w.proj"
+    rc = main(["align", "--source-emb", a_emb, "--target-emb", str(renamed),
+               "--mapping", str(world_dir / "mapping.tsv"), "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == (f"error: {a_emb}, {renamed}: zero common rows "
+                                       f"between the two spaces\n")
+    assert not out.exists()
+
+
 def test_align_missing_file_is_runtime_error(world_dir, tmp_path):
     rc = main(["align", "--source-emb", str(tmp_path / "no.emb"),
                "--target-emb", str(tmp_path / "no.emb"),
@@ -668,6 +684,23 @@ def test_eval_cross_brand_empty_mapping_names_the_file(world_dir, trained, tmp_p
     assert rc == 1
     assert capsys.readouterr().err == (f"error: {mapping}: mapping holds no hotel "
                                        f"pair to evaluate across brands\n")
+    assert not out.exists()
+
+
+def test_eval_embeddings_lacking_a_query_hotel_names_the_file(world_dir, trained,
+                                                              tmp_path, capsys):
+    # the error once read "query hotel 'h00017' missing from space", naming
+    # no file
+    a_emb, _ = trained
+    header, *rows = open(a_emb).read().splitlines()
+    few = tmp_path / "few.emb"
+    few.write_text("\n".join([f"5 {header.split()[1]}"] + rows[:5]) + "\n")
+    out = tmp_path / "few.jsonl"
+    rc = main(eval_args(world_dir, str(few), "A", out))
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert re.fullmatch(f"error: {re.escape(str(few))}: query hotel 'h\\d+' missing "
+                        f"from space\n", err), err
     assert not out.exists()
 
 
