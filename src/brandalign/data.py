@@ -168,7 +168,8 @@ class ClickSession(NamedTuple):
 class Sessions(Sequence):
     """Read-only sessions of one brand as columns, in Apache Arrow's list
     layout: clicks is one flat tuple of every click, kept as given, and session
-    i is ClickSession(ids[i], brand, markets[i], clicks[ends[i - 1]:ends[i]])."""
+    i is ClickSession(ids[i], brand, markets[i], clicks[ends[i - 1]:ends[i]]).
+    A slice and split_sessions share one gather, take, and give columns too."""
 
     def __init__(self, brand, ids, markets, clicks, ends):
         self.brand, self.ids, self.markets = brand, tuple(ids), tuple(markets)
@@ -180,13 +181,21 @@ class Sessions(Sequence):
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return tuple(map(self.__getitem__, range(len(self))[i]))
+            return self.take(np.arange(*i.indices(len(self))))
         i = range(len(self))[i]
         return ClickSession(self.ids[i], self.brand, self.markets[i],
                             self.clicks[self.ends[i - 1] if i else 0:self.ends[i]])
 
+    def take(self, rows: np.ndarray) -> "Sessions":
+        """The sessions at positions rows (nonnegative), in that order."""
+        at, ends = rows.tolist(), self.ends[rows]
+        starts = np.where(rows > 0, self.ends[rows - 1], 0)
+        spans = map(self.clicks.__getitem__, map(slice, starts.tolist(), ends.tolist()))
+        return Sessions(self.brand, [self.ids[i] for i in at], [self.markets[i] for i in at],
+                        chain.from_iterable(spans), np.cumsum(ends - starts))
+
     def __eq__(self, other):
-        return list(self) == list(other) if isinstance(other, Sessions) else NotImplemented
+        return list(self) == list(other) if isinstance(other, Sequence) else NotImplemented
 
 
 @dataclass(frozen=True, eq=False)
@@ -371,15 +380,6 @@ def split_sizes(n: int, ratios: tuple[float, float, float]) -> tuple[int, int, i
 def split_sessions(session_set: SessionSet, ratios: tuple[float, float, float],
                    seed: int) -> tuple[SessionSet, SessionSet, SessionSet]:
     """Deterministic train/val/test partition: shuffle by seed, then slice."""
-    n_train, n_val, _ = split_sizes(len(session_set), ratios)
     order = substream(seed, "split", session_set.brand).permutation(len(session_set))
-    s, brand = session_set.sessions, session_set.brand
-    bounds, lengths = [0, *s.ends.tolist()], np.diff(s.ends, prepend=0)
-
-    def gather(part):  # the sessions at positions part, in its order
-        rows = part.tolist()
-        return SessionSet(brand, Sessions(
-            brand, map(s.ids.__getitem__, rows), map(s.markets.__getitem__, rows),
-            chain.from_iterable(s.clicks[bounds[i]:bounds[i + 1]] for i in rows),
-            np.cumsum(lengths[part])))
-    return tuple(map(gather, np.split(order, [n_train, n_train + n_val])))
+    parts = np.split(order, np.cumsum(split_sizes(len(session_set), ratios))[:2])
+    return tuple(SessionSet(session_set.brand, session_set.sessions.take(p)) for p in parts)

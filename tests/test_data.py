@@ -6,9 +6,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from brandalign import data
 from brandalign.align import read_projection
 from brandalign.data import (BrandMapping, ClickSession, DataError, HotelCatalog,
-                             HotelRecord, SessionSet, load_catalog, load_mapping,
+                             HotelRecord, Sessions, SessionSet, load_catalog, load_mapping,
                              load_sessions, split_sessions, split_sizes)
 from brandalign.evaluate import _event_ranks, make_events
 from brandalign.model import read_embeddings
@@ -379,6 +380,57 @@ def test_session_set_rejects_a_session_of_another_brand():
                 ClickSession("s1", "B", "m0", ("h0",))]
     with pytest.raises(DataError, match=r"^session 's1' has brand 'B', expected 'A'$"):
         SessionSet("A", sessions)
+
+
+_FIVE_SESSIONS = [
+    ClickSession("s0", "A", "m0", ("h0", "h1")),
+    ClickSession("s1", "A", "m1", ("h3",)),
+    ClickSession("s2", "A", "m0", ()),
+    ClickSession(7, "A", None, ("h2", "h2", "h1")),
+    ClickSession("s4", "A", "m1", ("h4", "h5", "h3", "h4")),
+]
+
+
+@pytest.mark.parametrize("part", [
+    slice(None), slice(1, 3), slice(-2, None), slice(None, None, -1), slice(4, 0, -2),
+    slice(3, 3), slice(-99, 99), slice(99, -99, -3), slice(2, 1), slice(None, None, 2)])
+def test_a_slice_of_sessions_is_columns_equal_to_its_click_sessions(part):
+    sessions = SessionSet("A", _FIVE_SESSIONS).sessions
+    got = sessions[part]
+    assert isinstance(got, Sessions) and got.brand == "A"
+    assert got == tuple(_FIVE_SESSIONS[part]) and got == _FIVE_SESSIONS[part]
+    assert list(got) == _FIVE_SESSIONS[part] and len(got) == len(_FIVE_SESSIONS[part])
+    assert got.ids == tuple(s.session_id for s in _FIVE_SESSIONS[part])
+    assert got.clicks == tuple(c for s in _FIVE_SESSIONS[part] for c in s.clicks)
+    # a slice of a slice is the same gather again
+    assert got[::-1] == tuple(_FIVE_SESSIONS[part][::-1])
+    assert got != tuple(_FIVE_SESSIONS[part]) + (_FIVE_SESSIONS[0],)
+
+
+def test_take_gathers_rows_in_their_order_repeats_included():
+    sessions = SessionSet("A", _FIVE_SESSIONS).sessions
+    got = sessions.take(np.array([4, 0, 2, 4, 3]))
+    assert got == [_FIVE_SESSIONS[i] for i in (4, 0, 2, 4, 3)]
+    assert got.ends.tolist() == [4, 6, 6, 10, 13] and not got.ends.flags.writeable
+    assert len(sessions.take(np.array([], np.intp))) == 0
+
+
+def test_a_budget_prefix_builds_no_click_session(monkeypatch):
+    # repro's data-poor target trains on SessionSet(brand, train.sessions[:n])
+    built = []
+
+    def counting(*fields):
+        built.append(fields)
+        return ClickSession(*fields)
+    sset = SessionSet("A", _FIVE_SESSIONS)
+    monkeypatch.setattr(data, "ClickSession", counting)
+    prefixes = [SessionSet("A", sset.sessions[:n]) for n in range(len(sset) + 2)]
+    parts = split_sessions(sset, (3, 1, 1), 0)
+    assert built == []
+    assert [len(p) for p in prefixes] == [0, 1, 2, 3, 4, 5, 5]
+    assert [len(p) for p in parts] == [3, 1, 1]
+    # the counter sees what does build one: reading a single session
+    assert prefixes[3].sessions[-1] == _FIVE_SESSIONS[2] and len(built) == 1
 
 
 # ---------------------------------------------------------------------------
