@@ -1,6 +1,6 @@
 """Skip-gram pair construction with market-restricted negative sampling."""
 
-from .data import ClickSession, HotelCatalog, SessionSet
+from .data import ClickSession, DataError, HotelCatalog, SessionSet
 from .rng import RawWords, substream
 
 
@@ -58,7 +58,10 @@ def build_epoch_stream(sessions: SessionSet, catalog: HotelCatalog,
     words = RawWords(substream(seed, "negatives", epoch_index))
     for si in order:
         for target, context in make_pairs(sessions.sessions[si], window):
-            t, c = index[target], index[context]
+            try:
+                t, c = index[target], index[context]
+            except KeyError as exc:  # the catalog's error, as make_events raises it
+                raise DataError(f"unknown hotel_id {exc.args[0]!r}") from None
             negs = sample_negatives(pools[market[t]], t, c, n_neg, words)
             if negs is None:
                 if skip_counter is not None:

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from brandalign import model, repro, synth
-from brandalign.data import BrandMapping, DataError
+from brandalign.data import BrandMapping, ClickSession, DataError, SessionSet
+from brandalign.evaluate import make_events
 from brandalign.model import (EmbeddingSpace, ModelParams, StepContext,
                               TrainConfig, TrainingDiverged, _forward,
                               export_embeddings, gradients, init_params,
@@ -459,6 +460,18 @@ def test_train_without_pairs_is_an_error():
         train(sessions, catalog, tiny_config(epochs=2))
     with pytest.raises(ValueError, match="nothing to train on"):
         train(make_sessions("X", [], catalog), catalog, tiny_config())
+
+
+@pytest.mark.parametrize("clicks", [("h0", "zz", "h1"), ("zz", "h0"), ("h1", "h0", "zz")])
+def test_train_on_a_hotel_outside_the_catalog_is_the_catalogs_error(clicks):
+    # an unknown hotel anywhere in a session is the catalog's DataError, the
+    # one make_events raises for an unknown query, not a bare KeyError
+    catalog = make_catalog({"m0": ["h0", "h1", "h2"]})
+    sessions = SessionSet("A", [ClickSession("s0", "A", "m0", clicks)])
+    with pytest.raises(DataError, match=r"^unknown hotel_id 'zz'$"):
+        train(sessions, catalog, tiny_config())
+    with pytest.raises(DataError, match=r"^unknown hotel_id 'zz'$"):
+        make_events(SessionSet("A", [ClickSession("s0", "A", "m0", ("zz", "h0"))]), catalog)
 
 
 # The integer-indexed trainer must reproduce the string-keyed per-pair loop
