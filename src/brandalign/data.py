@@ -9,8 +9,8 @@ File formats (all UTF-8):
             market_id, clicks (list of hotel-id strings)
   mapping:  tab-separated `source_hotel_id<TAB>target_hotel_id`, no header
 
-The loaders hand out one string object per distinct hotel id, market id and
-brand (sys.intern): json makes every value a fresh string, one per click.
+A loaded session's clicks are int32 catalog rows; the loaders hand out one
+string object per distinct hotel id, market id and brand (sys.intern).
 """
 
 import contextlib
@@ -20,7 +20,6 @@ import warnings
 from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from itertools import chain
 from sys import intern
 from typing import NamedTuple
 
@@ -112,9 +111,6 @@ class HotelCatalog:
             raise DataError("empty catalog")
         self.hotels = list(hotels)
         self.index: dict[str, int] = {}  # hotel id -> row, the shared id order
-        # market id -> its hotel ids: load_sessions checks a session's clicks
-        # against its market with one issuperset call
-        self.markets: dict[str, set[str]] = {}
         first = self.hotels[0]
         for row, h in enumerate(self.hotels):
             if h.hotel_id.split() != [h.hotel_id]:  # as read_embeddings splits
@@ -126,7 +122,6 @@ class HotelCatalog:
             if problem:
                 raise CatalogError(row, f"hotel {h.hotel_id!r}: {problem}")
             self.index[h.hotel_id] = row
-            self.markets.setdefault(h.market_id, set()).add(h.hotel_id)
         self.amenity_dim = len(first.amenities)
         self.geo_dim = len(first.geo)
         self.features = np.hstack([np.stack([h.amenities for h in self.hotels]),
@@ -134,7 +129,7 @@ class HotelCatalog:
         self.hotel_ids = list(self.index)
         # row -> market code, a position in market_ids; not np.unique, whose
         # fixed-width strings drop trailing NULs and would merge "m" and "m\0"
-        self.market_ids = sorted(self.markets)
+        self.market_ids = sorted({h.market_id for h in self.hotels})
         code = {m: i for i, m in enumerate(self.market_ids)}
         self.market_codes = np.array([code[h.market_id] for h in self.hotels], np.intp)
         # rows in ascending hotel id (Python string order), and members[code]
@@ -167,14 +162,17 @@ class ClickSession(NamedTuple):
 
 class Sessions(Sequence):
     """Read-only sessions of one brand as columns, in Apache Arrow's list
-    layout: clicks is one flat tuple of every click, kept as given, and session
-    i is ClickSession(ids[i], brand, markets[i], clicks[ends[i - 1]:ends[i]]).
-    A slice and split_sessions share one gather, take, and give columns too."""
+    layout, clicks dictionary-encoded: session i's clicks are vocab[c] for each
+    c in codes[ends[i - 1]:ends[i]] (a read-only int32 array). A loaded or
+    generated set's vocab is its catalog's hotel_ids, so codes are catalog
+    rows; one built from ClickSessions keeps the click objects given as vocab,
+    coded 0..n-1. A slice and split_sessions share one gather, take."""
 
-    def __init__(self, brand, ids, markets, clicks, ends):
+    def __init__(self, brand, ids, markets, codes, ends, vocab):
         self.brand, self.ids, self.markets = brand, tuple(ids), tuple(markets)
-        self.clicks, self.ends = tuple(clicks), np.array(ends, np.int64)
-        self.ends.flags.writeable = False
+        self.codes, self.ends = np.array(codes, np.int32), np.array(ends, np.int64)
+        self.codes.flags.writeable = self.ends.flags.writeable = False
+        self.vocab = vocab
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -183,16 +181,25 @@ class Sessions(Sequence):
         if isinstance(i, slice):
             return self.take(np.arange(*i.indices(len(self))))
         i = range(len(self))[i]
+        codes = self.codes[self.ends[i - 1] if i else 0:self.ends[i]].tolist()
         return ClickSession(self.ids[i], self.brand, self.markets[i],
-                            self.clicks[self.ends[i - 1] if i else 0:self.ends[i]])
+                            tuple(map(self.vocab.__getitem__, codes)))
 
     def take(self, rows: np.ndarray) -> "Sessions":
         """The sessions at positions rows (nonnegative), in that order."""
         at, ends = rows.tolist(), self.ends[rows]
-        starts = np.where(rows > 0, self.ends[rows - 1], 0)
-        spans = map(self.clicks.__getitem__, map(slice, starts.tolist(), ends.tolist()))
+        lengths = ends - np.where(rows > 0, self.ends[rows - 1], 0)
+        taken = np.cumsum(lengths)  # click k of taken session j is k + ends[j] - taken[j]
+        flat = np.repeat(ends - taken, lengths) + np.arange(lengths.sum())
         return Sessions(self.brand, [self.ids[i] for i in at], [self.markets[i] for i in at],
-                        chain.from_iterable(spans), np.cumsum(ends - starts))
+                        self.codes[flat], taken, self.vocab)
+
+    def catalog_rows(self, catalog: "HotelCatalog") -> np.ndarray:
+        """Each click's catalog row, one lookup per vocab entry; a click outside
+        the catalog is ~its vocab position (-1 - position)."""
+        n = len(self.vocab)
+        return np.fromiter(map(catalog.index.get, self.vocab, range(-1, -n - 1, -1)),
+                           np.int32, n)[self.codes]
 
     def __eq__(self, other):
         return list(self) == list(other) if isinstance(other, Sequence) else NotImplemented
@@ -218,7 +225,8 @@ class SessionSet:
             markets.append(s.market_id)
             clicks.extend(s.clicks)
             ends.append(len(clicks))
-        object.__setattr__(self, "sessions", Sessions(brand, ids, markets, clicks, ends))
+        sessions = Sessions(brand, ids, markets, np.arange(len(clicks)), ends, tuple(clicks))
+        object.__setattr__(self, "sessions", sessions)
 
     def __len__(self) -> int:
         return len(self.sessions)
@@ -295,8 +303,7 @@ def load_catalog(path) -> HotelCatalog:
 
 
 def load_sessions(path, catalog: HotelCatalog, brand: str) -> SessionSet:
-    ids, markets, clicks, ends = [], [], [], array("q")
-    outside = []  # clicks outside their session's market
+    ids, markets, codes, ends, linenos = [], [], array("i"), array("q"), array("q")
     for lineno, obj in _parse_lines(path):
         try:
             if not isinstance(obj["clicks"], list):
@@ -304,30 +311,35 @@ def load_sessions(path, catalog: HotelCatalog, brand: str) -> SessionSet:
                                 f"{type(obj['clicks']).__name__}")
             sid, session_brand = str(obj["session_id"]), intern(str(obj["brand"]))
             market = intern(str(obj["market_id"]))
-            these = list(map(intern, map(str, obj["clicks"])))
+            these = list(map(str, obj["clicks"]))
         except (KeyError, TypeError) as exc:
             raise DataError(f"{path}:{lineno}: bad session record: {exc}") from exc
         if not these:
             raise DataError(f"{path}:{lineno}: session {sid!r} has no clicks")
-        if not catalog.markets.get(market, set()).issuperset(these):
-            for c in these:  # an unknown hotel, or clicks in other markets
-                if c not in catalog:
-                    raise DataError(
-                        f"{path}:{lineno}: session {sid!r} references unknown hotel {c!r}")
-                if catalog.market_of(c) != market:
-                    outside.append(f"{path}:{lineno}: session {sid!r} click {c!r} "
-                                   f"is outside market {market!r}")
+        try:
+            codes.extend(map(catalog.index.__getitem__, these))
+        except KeyError as exc:
+            raise DataError(f"{path}:{lineno}: session {sid!r} references unknown "
+                            f"hotel {exc.args[0]!r}") from None
         if session_brand != brand:
             raise DataError(f"{path}:{lineno}: session {sid!r} has brand "
                             f"{session_brand!r}, expected {brand!r}")
         ids.append(sid)
         markets.append(market)
-        clicks.extend(these)
-        ends.append(len(clicks))
-    if outside:
-        warnings.warn(f"{outside[0]} ({len(outside)} click(s) in this file are "
-                      f"outside their session's market)")
-    return SessionSet(brand, Sessions(brand, ids, markets, clicks, ends))
+        ends.append(len(codes))
+        linenos.append(lineno)
+    # clicks outside their session's market (code -1 if not in the catalog),
+    # compared as int32 over a view of the codes
+    code, rows = {m: c for c, m in enumerate(catalog.market_ids)}, np.asarray(codes)
+    outside = np.flatnonzero(catalog.market_codes.astype(np.int32)[rows] != np.repeat(
+        np.array([code.get(m, -1) for m in markets], np.int32), np.diff(ends, prepend=0)))
+    if len(outside):
+        i = np.searchsorted(ends, outside[0], "right")
+        warnings.warn(f"{path}:{linenos[i]}: session {ids[i]!r} click "
+                      f"{catalog.hotel_ids[rows[outside[0]]]!r} is outside market "
+                      f"{markets[i]!r} ({len(outside)} click(s) in this file are outside "
+                      f"their session's market)")
+    return SessionSet(brand, Sessions(brand, ids, markets, codes, ends, catalog.hotel_ids))
 
 
 def load_mapping(path, source_catalog: HotelCatalog | None = None,

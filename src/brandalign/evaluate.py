@@ -9,16 +9,14 @@ metric is bit-for-bit reproducible.
 
 import json
 import math
-import operator
 import sys
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
 
-from .data import BrandMapping, DataError, HotelCatalog, SessionSet
+from .data import BrandMapping, DataError, HotelCatalog, Sessions, SessionSet
 from .model import EmbeddingSpace
 
 
@@ -43,19 +41,17 @@ class MetricsReport:
 
 class Events(Sequence):
     """Prediction events as catalog-index arrays. Event i predicts the click
-    at[i] + 1 from the click at[i]: query and truth are their catalog rows
-    (-1 for a truth outside the catalog, whose id clicks keeps), market the
-    query's HotelCatalog.market_codes. Read one, it is a PredictionEvent."""
+    at[i] + 1 of sessions from the click at[i]: query and truth are their
+    catalog rows, read from rows (Sessions.catalog_rows; -1 for a truth
+    outside the catalog, whose id sessions keeps), market the query's
+    HotelCatalog.market_codes. Read one, it is a PredictionEvent."""
 
-    def __init__(self, catalog: HotelCatalog, clicks: Sequence[str], at):
-        self.catalog, self.clicks = catalog, clicks
+    def __init__(self, catalog: HotelCatalog, sessions: Sessions, rows: np.ndarray, at):
+        self.catalog, self.sessions, self.rows = catalog, sessions, rows
         self.at = np.array(at, np.intp)
-        rows = np.fromiter(map(catalog.index.get, clicks, repeat(-1)), np.intp,
-                           len(clicks))
-        self.query, self.truth = rows[self.at], rows[self.at + 1]
-        unknown = self.query < 0
-        if unknown.any():  # the first in input order raises the catalog's error
-            catalog.market_of(clicks[self.at[np.argmax(unknown)]])
+        self.query, self.truth = rows[self.at], np.maximum(rows[self.at + 1], -1)
+        if (self.query < 0).any():  # the first in input order raises the catalog's error
+            catalog.market_of(sessions.vocab[~self.query[np.argmax(self.query < 0)]])
         self.market = catalog.market_codes[self.query]
         for a in (self.at, self.query, self.truth, self.market):  # shared by make_events
             a.flags.writeable = False
@@ -64,9 +60,9 @@ class Events(Sequence):
         return len(self.at)
 
     def __getitem__(self, i) -> PredictionEvent:
-        a = self.at[i]
-        return PredictionEvent(self.clicks[a], self.clicks[a + 1],
-                               self.catalog.market_ids[self.market[i]])
+        s, a = self.sessions, self.at[i]
+        query, truth = map(s.vocab.__getitem__, s.codes[a:a + 2].tolist())
+        return PredictionEvent(query, truth, self.catalog.market_ids[self.market[i]])
 
 
 def make_events(sessions: SessionSet, catalog: HotelCatalog) -> Events:
@@ -75,12 +71,14 @@ def make_events(sessions: SessionSet, catalog: HotelCatalog) -> Events:
     a repeat call returns the same Events, another catalog replaces them."""
     if sessions._events is not None and sessions._events[0] is catalog:
         return sessions._events[1]
-    clicks, ends = sessions.sessions.clicks, sessions.sessions.ends
-    session = np.repeat(np.arange(len(sessions)), np.diff(ends, prepend=0))
-    # a repeat (A A) is no event: the truth must differ from the query
-    pair = (session[:-1] == session[1:]) & np.fromiter(
-        map(operator.ne, clicks, clicks[1:]), bool, max(len(clicks) - 1, 0))
-    events = Events(catalog, clicks, np.flatnonzero(pair))
+    s, rows = sessions.sessions, sessions.sessions.catalog_rows(catalog)
+    session = np.repeat(np.arange(len(s)), np.diff(s.ends, prepend=0))
+    # a repeat (A A) is no event: the truth must differ from the query; two
+    # clicks outside the catalog have distinct rows, so they are compared
+    differ = rows[:-1] != rows[1:]
+    both = np.flatnonzero((rows[:-1] < 0) & (rows[1:] < 0))
+    differ[both] = [s.vocab[~rows[k]] != s.vocab[~rows[k + 1]] for k in both]
+    events = Events(catalog, s, rows, np.flatnonzero((session[:-1] == session[1:]) & differ))
     object.__setattr__(sessions, "_events", (catalog, events))
     return events
 

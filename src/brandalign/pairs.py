@@ -9,9 +9,13 @@ def make_pairs(session: ClickSession, window: int) -> list[tuple[str, str]]:
 
     Repeated clicks of the same hotel never produce (h, h) self-pairs.
     """
+    return _window_pairs(session.clicks, window)
+
+
+def _window_pairs(clicks, window: int) -> list[tuple]:
+    """make_pairs of a session with these clicks (ids or catalog rows alike)."""
     if window < 1:
         raise ValueError("window must be >= 1")
-    clicks = session.clicks
     out = []
     for i, target in enumerate(clicks):
         lo = max(0, i - window)
@@ -52,16 +56,19 @@ def build_epoch_stream(sessions: SessionSet, catalog: HotelCatalog,
     Sessions are shuffled deterministically by (seed, epoch_index); pairs that
     cannot receive negatives are skipped and counted into skip_counter[0].
     """
-    index, market = catalog.index, catalog.market_codes.tolist()
+    s, market = sessions.sessions, catalog.market_codes.tolist()
     pools = [rows.tolist() for rows in catalog.members]
+    # memoryviews make each row a Python int as it is read: no list of them all
+    rows, ends = memoryview(s.catalog_rows(catalog)), memoryview(s.ends)
     order = substream(seed, "shuffle", epoch_index).permutation(len(sessions))
     words = RawWords(substream(seed, "negatives", epoch_index))
-    for si in order:
-        for target, context in make_pairs(sessions.sessions[si], window):
-            try:
-                t, c = index[target], index[context]
-            except KeyError as exc:  # the catalog's error, as make_events raises it
-                raise DataError(f"unknown hotel_id {exc.args[0]!r}") from None
+    for si in memoryview(order):
+        for t, c in _window_pairs(rows[ends[si - 1] if si else 0:ends[si]], window):
+            if t < 0 or c < 0:  # a click outside the catalog, row ~its vocab position
+                if t < 0 and c < 0 and s.vocab[~c] == s.vocab[~t]:
+                    continue  # equal clicks, as make_pairs compares them
+                # the catalog's error, as make_events raises it
+                raise DataError(f"unknown hotel_id {s.vocab[~(t if t < 0 else c)]!r}")
             negs = sample_negatives(pools[market[t]], t, c, n_neg, words)
             if negs is None:
                 if skip_counter is not None:

@@ -85,7 +85,7 @@ def _curve_sink(test_sessions, catalog, seed, rows):
     if len(events) > CURVE_EVENT_CAP:
         idx = substream(seed, "curve-events").choice(len(events), size=CURVE_EVENT_CAP,
                                                      replace=False)
-        events = Events(catalog, events.clicks, events.at[np.sort(idx)])
+        events = Events(catalog, events.sessions, events.rows, events.at[np.sort(idx)])
 
     def sink(step, space):
         ranks, _, _ = _event_ranks(events, catalog, space.vectors.get,

@@ -141,7 +141,7 @@ def generate_sessions(world: World, brand: str, cfg: WorldConfig) -> SessionSet:
     first = np.cumsum(length) - length
 
     # the walks: rows[first[i] + t] is the catalog row of session i's click t
-    rows = np.empty(len(u), dtype=np.intp)
+    rows = np.empty(len(u), dtype=np.int32)
     code = {market_id: c for c, market_id in enumerate(catalog.market_ids)}
     for j, market_id in enumerate(world.market_ids):
         walking = np.flatnonzero(market == j)
@@ -152,7 +152,7 @@ def generate_sessions(world: World, brand: str, cfg: WorldConfig) -> SessionSet:
     return SessionSet(brand, Sessions(
         brand, [f"{brand}-s{i:07d}" for i in range(len(market))],
         map(world.market_ids.__getitem__, market.tolist()),
-        np.array(catalog.hotel_ids, dtype=object)[rows].tolist(), np.cumsum(length)))
+        rows, np.cumsum(length), catalog.hotel_ids))
 
 
 def _walk(world: World, brand: str, members: np.ndarray, u: np.ndarray,
@@ -223,12 +223,13 @@ def write_sessions(session_set: SessionSet, path):
     {session_id, brand, market_id, clicks}; each distinct string is encoded
     once."""
     s, encode = session_set.sessions, _Encodings().__getitem__
-    brand, ends = encode(s.brand), s.ends.tolist()
+    brand, ends, codes = encode(s.brand), s.ends.tolist(), memoryview(s.codes)
+    words = list(map(encode, s.vocab))
     with open(path, "w", encoding="utf-8") as fh:
         fh.writelines(
             f'{{"session_id": {json.dumps(sid)}, "brand": {brand}, '
             f'"market_id": {encode(market)}, '
-            f'"clicks": [{", ".join(map(encode, s.clicks[start:end]))}]}}\n'
+            f'"clicks": [{", ".join(map(words.__getitem__, codes[start:end]))}]}}\n'
             for sid, market, start, end in zip(s.ids, s.markets, [0, *ends], ends))
 
 

@@ -133,10 +133,10 @@ def brute_force_metrics(events, space_vectors, catalog, mode, k,
     hits = []
     rranks = []
     for ev in events:
-        if pool == "market":
-            candidates = sorted(catalog.markets[ev.market_id] - {ev.query})
-        else:
-            candidates = sorted(set(catalog.index) - {ev.query})
+        # each pool's members read off the hotel records themselves
+        candidates = sorted({h.hotel_id for h in catalog.hotels
+                             if pool != "market" or h.market_id == ev.market_id}
+                            - {ev.query})
         v_q = space_vectors[ev.query]
 
         def score(cand):

@@ -37,8 +37,8 @@ def test_load_catalog_two_records_one_market(tmp_path):
     _write_lines(path, [_catalog_obj("h0"), _catalog_obj("h1")])
     catalog = load_catalog(path)
     assert len(catalog) == 2
-    assert set(catalog.markets) == {"m0"}
-    assert catalog.markets["m0"] == {"h0", "h1"}
+    assert catalog.market_ids == ["m0"]
+    assert [catalog.hotel_ids[r] for r in catalog.members[0]] == ["h0", "h1"]
 
 
 def test_load_catalog_empty_file_errors(tmp_path):
@@ -401,7 +401,8 @@ def test_a_slice_of_sessions_is_columns_equal_to_its_click_sessions(part):
     assert got == tuple(_FIVE_SESSIONS[part]) and got == _FIVE_SESSIONS[part]
     assert list(got) == _FIVE_SESSIONS[part] and len(got) == len(_FIVE_SESSIONS[part])
     assert got.ids == tuple(s.session_id for s in _FIVE_SESSIONS[part])
-    assert got.clicks == tuple(c for s in _FIVE_SESSIONS[part] for c in s.clicks)
+    assert tuple(got.vocab[c] for c in got.codes) == tuple(
+        c for s in _FIVE_SESSIONS[part] for c in s.clicks)
     # a slice of a slice is the same gather again
     assert got[::-1] == tuple(_FIVE_SESSIONS[part][::-1])
     assert got != tuple(_FIVE_SESSIONS[part]) + (_FIVE_SESSIONS[0],)

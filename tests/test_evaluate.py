@@ -23,8 +23,10 @@ from oracles import brute_force_metrics, reference_event_ranks, reference_make_e
 
 def events_of(catalog, pairs):
     """Events of (query, truth) id pairs, through the constructor make_events
-    uses: event i is clicks[2i] -> clicks[2i + 1]."""
-    return Events(catalog, [h for pair in pairs for h in pair], range(0, 2 * len(pairs), 2))
+    uses: event i is clicks[2i] -> clicks[2i + 1] of one session."""
+    clicks = tuple(h for pair in pairs for h in pair)
+    sessions = SessionSet("X", [ClickSession("s0", "X", "m0", clicks)]).sessions
+    return Events(catalog, sessions, sessions.catalog_rows(catalog), range(0, len(clicks), 2))
 
 
 def ranks_as_list(result):
@@ -186,7 +188,7 @@ def test_one_split_builds_its_events_once_for_every_evaluation(monkeypatch, pool
 def test_ranking_looks_each_candidate_up_at_most_once(pool):
     # events in two of three markets: the market pool resolves only their rows
     catalog, vectors, events = _ranker_world(7, 3, 40, 4, 300, 0, 0.1, 0.0)
-    events = Events(catalog, events.clicks, events.at[events.market < 2])
+    events = Events(catalog, events.sessions, events.rows, events.at[events.market < 2])
     calls = Counter()
 
     def lookup(h):

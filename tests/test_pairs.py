@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brandalign.data import ClickSession, SessionSet
+from brandalign.data import ClickSession, DataError, SessionSet
+from brandalign.evaluate import make_events
 from brandalign.pairs import build_epoch_stream, make_pairs, sample_negatives
 from brandalign.rng import _RAW_WORDS_PER_DRAW, RawWords, substream
 from conftest import make_catalog, make_sessions
@@ -183,3 +184,34 @@ def test_stream_counts_skipped_pairs():
     pairs = list(build_epoch_stream(sset, catalog, 1, 1, 0, 0, skip_counter))
     assert pairs == []
     assert skip_counter[0] == 2
+
+
+# equal clicks outside the catalog that are not the same object
+_ZZ, _ZZ_AGAIN = "zz", "".join(["z", "z"])
+
+
+@pytest.mark.parametrize("click_lists, events_error, stream_error", [
+    # two different unknown ids in a row: an event and a pair, each unknown
+    ([["zz", "yy"]], "zz", "zz"),
+    ([["h0", "zz", "yy", "h1"]], "zz", "zz"),
+    # the same unknown id twice: no event and no pair
+    ([["h0", "h1"], [_ZZ, _ZZ_AGAIN]], None, None),
+    ([[1, 1.0, True]], None, None),
+    # an unknown truth is an event, but its pair is the catalog's error
+    ([["h0", _ZZ, _ZZ_AGAIN]], None, "zz"),
+])
+def test_unknown_clicks_raise_where_their_ids_differ(click_lists, events_error,
+                                                     stream_error):
+    # a set built from ClickSessions keeps each click as given: two clicks
+    # outside the catalog are the same click only when they compare equal
+    assert _ZZ == _ZZ_AGAIN and _ZZ is not _ZZ_AGAIN
+    catalog = make_catalog({"m0": ["h0", "h1", "h2"]})
+    sset = SessionSet("A", [_session(clicks) for clicks in click_lists])
+    for error, run in ((events_error, lambda: make_events(sset, catalog)),
+                       (stream_error, lambda: list(build_epoch_stream(sset, catalog, 1, 1,
+                                                                      0, 0)))):
+        if error is None:
+            run()
+        else:
+            with pytest.raises(DataError, match=rf"^unknown hotel_id '{error}'$"):
+                run()

@@ -8,8 +8,10 @@ import scipy.stats
 
 import oracles
 from brandalign import synth
-from brandalign.data import (ClickSession, SessionSet, load_catalog, load_mapping,
-                            load_sessions, split_sessions)
+from brandalign.data import (ClickSession, HotelCatalog, SessionSet, load_catalog,
+                            load_mapping, load_sessions, split_sessions)
+from brandalign.evaluate import make_events
+from brandalign.pairs import build_epoch_stream
 from brandalign.rng import session_draws, substream
 from brandalign.synth import (World, WorldConfig, generate_sessions,
                               generate_world, write_catalog, write_mapping,
@@ -417,10 +419,12 @@ def test_session_set_reads_back_each_click_session_as_given():
             assert list(part.sessions) == shuffled[lo:lo + len(part)]
 
 
-def test_loaded_sessions_hold_under_150_bytes_each(tmp_path):
+def test_loaded_sessions_hold_under_105_bytes_each(tmp_path):
     # one ClickSession and clicks tuple per session held about 215 bytes per
-    # loaded session; as columns a session holds its id string and one
-    # pointer per id, market and click, plus an int64 end (about 111)
+    # loaded session, and one pointer per click to an id string about 111; a
+    # session now holds its id string, one pointer per id and market, an
+    # int32 code per click into the catalog's own hotel_ids and an int64 end
+    # (about 97)
     cfg = tiny_cfg(n_markets=5, hotels_per_market=200, latent_dim=8,
                    n_sessions_per_brand=20_000, session_length=(2, 5))
     synth.write_world(cfg, tmp_path)
@@ -433,7 +437,34 @@ def test_loaded_sessions_hold_under_150_bytes_each(tmp_path):
     finally:
         tracemalloc.stop()
     assert len(loaded) == 20_000
-    assert held / len(loaded) < 150
+    assert loaded.sessions.vocab is catalog.hotel_ids
+    assert loaded.sessions.codes.dtype == np.int32
+    assert held / len(loaded) < 105
+
+
+def test_loaded_and_rebuilt_sessions_give_the_same_events_and_pairs(tmp_path):
+    # the layout filled two ways: a loaded set's vocab is its catalog's
+    # hotel_ids, and the same sessions rebuilt from their ClickSessions keep
+    # the click objects as vocab; both give the same events and pair stream,
+    # under the catalog they were loaded with and under one whose rows run
+    # the other way
+    cfg = tiny_cfg(n_markets=3, hotels_per_market=8, n_sessions_per_brand=300,
+                   session_length=(2, 6))
+    synth.write_world(cfg, tmp_path)
+    catalog = load_catalog(tmp_path / "catalog.jsonl")
+    loaded = load_sessions(tmp_path / "sessions_B.jsonl", catalog, "B")
+    rebuilt = SessionSet("B", list(loaded.sessions))
+    assert rebuilt.sessions.vocab == tuple(catalog.hotel_ids[c] for c in loaded.sessions.codes)
+    assert rebuilt.sessions == loaded.sessions
+    for other in (catalog, HotelCatalog(catalog.hotels[::-1])):
+        got, want = make_events(rebuilt, other), make_events(loaded, other)
+        assert len(want) > 100 and list(got) == list(want)
+        for name in ("at", "query", "truth", "market"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
+        for epoch in (0, 1):
+            stream = list(build_epoch_stream(loaded, other, 2, 3, 9, epoch))
+            assert len(stream) > 100
+            assert list(build_epoch_stream(rebuilt, other, 2, 3, 9, epoch)) == stream
 
 
 def test_world_meta_contents(tmp_path):
